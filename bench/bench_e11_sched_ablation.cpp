@@ -2,16 +2,12 @@
 // scheduling policy and fill-tile granularity.
 //
 // The paper schedules wavefront lines as synchronized stages; the
-// dependency-counter scheduler removes the barrier, and the work-stealing
-// scheduler additionally removes the shared ready-counter scan — each
-// finished tile is handed straight to the finishing worker's own deque.
-// Two views:
-//   * virtual time: isolates the schedule itself (work-stealing and
-//     dependency-counter share the dependency-driven makespan bound);
+// dependency-counter scheduler removes the barrier. Two views:
+//   * virtual time: isolates the schedule itself;
 //   * real threads: wall-clock cells/s per scheduler on a uniform square
-//     grid and on a ragged rectangular grid at large P, plus steal and
-//     allocation counters. This section feeds BENCH_sched.json so CI
-//     tracks the perf trajectory.
+//     grid and on a ragged rectangular grid at large P, plus allocation
+//     counters. This section feeds BENCH_sched.json so CI tracks the perf
+//     trajectory.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -32,8 +28,6 @@ struct RealRow {
   unsigned threads = 0;
   double median_ms = 0.0;
   double cells_per_s = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
   std::uint64_t pool_misses_steady = 0;
   std::uint64_t pool_hits_steady = 0;
   bool score_ok = false;
@@ -52,8 +46,7 @@ void run_real_config(const std::string& config, const flsa::Sequence& a,
   const double cells =
       static_cast<double>(a.size()) * static_cast<double>(b.size());
   for (flsa::SchedulerKind kind : {flsa::SchedulerKind::kBarrierStaged,
-                                   flsa::SchedulerKind::kDependencyCounter,
-                                   flsa::SchedulerKind::kWorkStealing}) {
+                                   flsa::SchedulerKind::kDependencyCounter}) {
     flsa::FastLsaWorkspace workspace;
     flsa::FastLsaOptions options = base_options;
     options.workspace = &workspace;
@@ -61,13 +54,6 @@ void run_real_config(const std::string& config, const flsa::Sequence& a,
     parallel.threads = threads;
     parallel.scheduler = kind;
     parallel.tiles_per_block = tiles_per_block;
-
-    flsa::obs::Counter& steal_counter =
-        flsa::obs::metrics().counter("wavefront.steals");
-    flsa::obs::Counter& attempt_counter =
-        flsa::obs::metrics().counter("wavefront.steal_attempts");
-    const std::uint64_t steals0 = steal_counter.value();
-    const std::uint64_t attempts0 = attempt_counter.value();
 
     flsa::FastLsaStats stats;
     flsa::Score score = 0;
@@ -85,8 +71,6 @@ void run_real_config(const std::string& config, const flsa::Sequence& a,
     row.threads = threads;
     row.median_ms = timing.median * 1e3;
     row.cells_per_s = flsa::bench::cells_per_second(cells, timing.median);
-    row.steals = steal_counter.value() - steals0;
-    row.steal_attempts = attempt_counter.value() - attempts0;
     // stats come from the last (fully warm) rep.
     row.pool_misses_steady = stats.arena_pool_misses;
     row.pool_hits_steady = stats.arena_pool_hits;
@@ -116,8 +100,6 @@ void write_json(const std::string& path,
         << r.scheduler << "\", \"threads\": " << r.threads
         << ", \"median_ms\": " << r.median_ms
         << ", \"cells_per_s\": " << r.cells_per_s
-        << ", \"steals\": " << r.steals
-        << ", \"steal_attempts\": " << r.steal_attempts
         << ", \"pool_misses_steady\": " << r.pool_misses_steady
         << ", \"pool_hits_steady\": " << r.pool_hits_steady
         << ", \"score_ok\": " << (r.score_ok ? "true" : "false") << "}"
@@ -146,8 +128,7 @@ int main() {
     const std::size_t top = options.k * tiles;
     for (flsa::SchedulerKind policy :
          {flsa::SchedulerKind::kBarrierStaged,
-          flsa::SchedulerKind::kDependencyCounter,
-          flsa::SchedulerKind::kWorkStealing}) {
+          flsa::SchedulerKind::kDependencyCounter}) {
       const flsa::SpeedupPoint p8 = flsa::speedup_at(run.trace, 8, policy);
       const std::vector<std::string> row = {
           std::to_string(tiles), std::to_string(top), flsa::to_string(policy),
@@ -158,18 +139,17 @@ int main() {
     }
   }
   table.print(std::cout);
-  std::cout << "\nExpected shape: dependency-counter and work-stealing share"
-               " the dependency-driven\nmakespan and beat barrier-staged at"
-               " every tiling; finer tiles raise all three\n(alpha falls"
-               " with R*C), with diminishing returns past ~4.\n";
+  std::cout << "\nExpected shape: dependency-counter beats barrier-staged at"
+               " every tiling;\nfiner tiles raise both (alpha falls with"
+               " R*C), with diminishing returns\npast ~4.\n";
 
   // ---- Real threads: wall-clock cells/s per scheduler. ----
   std::cout << "\n=== real-thread scheduler comparison (host threads: "
             << std::thread::hardware_concurrency() << ") ===\n\n";
-  flsa::obs::set_enabled(true);  // steal/arena counters are gated on this
+  flsa::obs::set_enabled(true);  // arena counters are gated on this
   std::vector<RealRow> real_rows;
   // Uniform: square problem, coarse tiles, moderate P — every wavefront
-  // line is evenly loaded, so stealing has little to win; it must not lose.
+  // line is evenly loaded, so the barrier costs little here.
   run_real_config("uniform", pair.a, pair.b,
                   flsa::ScoringScheme::paper_default(), options,
                   /*threads=*/4, /*tiles_per_block=*/2, &real_rows);
@@ -186,12 +166,11 @@ int main() {
                     options, /*threads=*/8, /*tiles_per_block=*/3, &real_rows);
   }
   flsa::Table real({"config", "scheduler", "P", "time ms", "Mcell/s",
-                    "steals", "attempts", "pool miss", "score ok"});
+                    "pool miss", "score ok"});
   for (const RealRow& r : real_rows) {
     real.add_row({r.config, r.scheduler, std::to_string(r.threads),
                   flsa::Table::num(r.median_ms),
                   flsa::Table::num(r.cells_per_s / 1e6),
-                  std::to_string(r.steals), std::to_string(r.steal_attempts),
                   std::to_string(r.pool_misses_steady),
                   r.score_ok ? "yes" : "NO"});
   }

@@ -32,8 +32,7 @@ int main() {
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     for (flsa::SchedulerKind kind :
          {flsa::SchedulerKind::kBarrierStaged,
-          flsa::SchedulerKind::kDependencyCounter,
-          flsa::SchedulerKind::kWorkStealing}) {
+          flsa::SchedulerKind::kDependencyCounter}) {
       flsa::ParallelOptions parallel;
       parallel.threads = threads;
       parallel.scheduler = kind;

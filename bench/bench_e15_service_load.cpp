@@ -184,12 +184,10 @@ FaultyRun run_faulty(std::uint16_t port,
 
 /// One router-fronted fleet size: the closed-loop rows per connection
 /// level plus the router counter deltas that show how the front tier
-/// behaved (hedges fired, batches coalesced, failovers needed).
+/// behaved (batches coalesced, failovers needed).
 struct RouterTier {
   std::size_t backends = 0;
   std::vector<LoadRow> rows;
-  std::uint64_t hedges_issued = 0;
-  std::uint64_t hedges_won = 0;
   std::uint64_t coalesce_batches = 0;
   std::uint64_t coalesce_jobs = 0;
   std::uint64_t failovers = 0;
@@ -212,9 +210,6 @@ RouterTier run_router_tier(std::size_t backend_count,
                            const std::vector<unsigned>& connection_levels,
                            std::size_t total_requests) {
   namespace obs = flsa::obs;
-  const std::uint64_t hedges0 =
-      obs::metrics().counter("router.hedge.issued").value();
-  const std::uint64_t won0 = obs::metrics().counter("router.hedge.won").value();
   const std::uint64_t batches0 =
       obs::metrics().counter("router.coalesce.batches").value();
   const std::uint64_t jobs0 =
@@ -247,9 +242,6 @@ RouterTier run_router_tier(std::size_t backend_count,
   router.stop();
   for (auto& backend : backends) backend->stop();
 
-  tier.hedges_issued =
-      obs::metrics().counter("router.hedge.issued").value() - hedges0;
-  tier.hedges_won = obs::metrics().counter("router.hedge.won").value() - won0;
   tier.coalesce_batches =
       obs::metrics().counter("router.coalesce.batches").value() - batches0;
   tier.coalesce_jobs =
@@ -298,8 +290,6 @@ void write_json(const std::string& path, unsigned workers,
     const RouterTier& tier = tiers[t];
     out << "      {\"backends\": " << tier.backends
         << ", \"peak_rps\": " << tier.peak_rps()
-        << ", \"hedges_issued\": " << tier.hedges_issued
-        << ", \"hedges_won\": " << tier.hedges_won
         << ", \"coalesce_batches\": " << tier.coalesce_batches
         << ", \"coalesce_jobs\": " << tier.coalesce_jobs
         << ", \"failovers\": " << tier.failovers << ", \"load\": [\n";
@@ -458,9 +448,8 @@ int main() {
           : 0.0;
   std::cout << "\nper-tier router activity:\n";
   for (const RouterTier& tier : tiers) {
-    std::cout << "  " << tier.backends << " backend(s): hedges "
-              << tier.hedges_issued << " (won " << tier.hedges_won
-              << "), coalesced " << tier.coalesce_jobs << " jobs into "
+    std::cout << "  " << tier.backends << " backend(s): coalesced "
+              << tier.coalesce_jobs << " jobs into "
               << tier.coalesce_batches << " batches, failovers "
               << tier.failovers << "\n";
   }

@@ -1,8 +1,7 @@
 // Reference-indexed search demo: find a (mutated) gene inside a large
 // synthetic chromosome without ever computing the full m x n matrix.
-// Default is the chained pipeline (k-mer anchors -> colinear chaining ->
-// banded gap fill); --simple falls back to single-seed seed-and-extend.
-// Reports hits BLAST-style with E-values.
+// The chained pipeline: k-mer anchors -> colinear chaining -> banded gap
+// fill. Reports hits BLAST-style with E-values.
 //
 //   ./examples/genome_search --chromosome 200000 --gene 300
 #include <iostream>
@@ -18,8 +17,6 @@ int main(int argc, char** argv) {
   cli.add_int("copies", 2, "planted (mutated) copies");
   cli.add_int("seed-k", 12, "seed k-mer length");
   cli.add_int("seed", 5, "PRNG seed");
-  cli.add_flag("simple", false,
-               "use single-seed seed-and-extend instead of chaining");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const auto chr_len = static_cast<std::size_t>(cli.get_int("chromosome"));
@@ -55,16 +52,9 @@ int main(int argc, char** argv) {
     const flsa::search::ReferenceIndex index(subject, seed_k);
     const double index_s = timer.seconds();
     timer.reset();
-    std::vector<flsa::search::SearchHit> hits;
     flsa::search::ChainedSearchStats stats;
-    if (cli.get_flag("simple")) {
-      flsa::search::SearchParams params;
-      params.k = seed_k;
-      hits = flsa::search::seed_and_extend(gene, index.kmers(), scheme,
-                                           params);
-    } else {
-      hits = flsa::search::chained_search(gene, index, scheme, {}, &stats);
-    }
+    const std::vector<flsa::search::SearchHit> hits =
+        flsa::search::chained_search(gene, index, scheme, {}, &stats);
     const double search_s = timer.seconds();
 
     const auto stats_params = flsa::scoring::karlin_params(
@@ -73,12 +63,9 @@ int main(int argc, char** argv) {
     std::cout << "indexed " << index.size() << " bp ("
               << index.kmers().distinct_kmers() << " distinct " << seed_k
               << "-mers) in " << index_s * 1e3 << " ms\n"
-              << "search took " << search_s * 1e3 << " ms";
-    if (!cli.get_flag("simple")) {
-      std::cout << " (" << stats.anchors << " anchors, " << stats.chains
-                << " chains)";
-    }
-    std::cout << "; planted copies at:";
+              << "search took " << search_s * 1e3 << " ms ("
+              << stats.anchors << " anchors, " << stats.chains
+              << " chains); planted copies at:";
     for (std::size_t at : planted_at) std::cout << ' ' << at;
     std::cout << "\n\n";
     for (std::size_t i = 0; i < hits.size(); ++i) {

@@ -31,11 +31,10 @@ std::vector<KernelKind> kernel_variants() {
   std::vector<KernelKind> variants{KernelKind::kScalar};
   if (simd_kernel_available()) {
     variants.push_back(KernelKind::kSimd);
-    // The narrow saturating tiers run (and stay exact) everywhere, but
-    // their throughput story is the vector lanes — bench them only where
-    // the SIMD cores run.
+    // The narrow saturating tier runs (and stays exact) everywhere, but
+    // its throughput story is the vector lanes — bench it only where the
+    // SIMD cores run.
     variants.push_back(KernelKind::kInt16);
-    variants.push_back(KernelKind::kInt8);
   }
   return variants;
 }

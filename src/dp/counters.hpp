@@ -21,9 +21,9 @@ struct DpCounters {
   std::uint64_t cells_stored = 0;
   /// Traceback steps taken (FindPath work).
   std::uint64_t traceback_steps = 0;
-  /// Narrow-kernel overflow escalations: each time a saturating int8/int16
+  /// Narrow-kernel overflow escalations: each time a saturating int16
   /// sweep hit a rail (or could not represent the scheme) and the work was
-  /// transparently rescored with the next wider tier (dp/kernel_narrow.hpp).
+  /// transparently rescored in int32 (dp/kernel_narrow.hpp).
   std::uint64_t kernel_escalations = 0;
   /// Fill Grid Cache tiles skipped by score-bound pruning
   /// (FastLsaOptions::prune): their optimistic bound could not beat the

@@ -70,8 +70,7 @@ void sweep_rectangle_affine(KernelKind kind, std::span<const Residue> a,
   // The narrow tiers have no affine core (three interdependent saturating
   // matrices triple the rail-tracking work for little win); affine sweeps
   // run the int32 SIMD kernel under any narrow request.
-  if (resolved == KernelKind::kSimd || resolved == KernelKind::kInt16 ||
-      resolved == KernelKind::kInt8) {
+  if (resolved == KernelKind::kSimd || resolved == KernelKind::kInt16) {
     sweep_rectangle_affine_simd(a, b, scheme, top, left, out_bottom,
                                 out_right, counters);
   } else {

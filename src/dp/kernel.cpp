@@ -21,8 +21,6 @@ constexpr KernelInfo kKernelRegistry[] = {
      "int32 anti-diagonal vector sweep (scalar fallback off-x86)"},
     {KernelKind::kInt16, "int16",
      "saturating 16-bit lanes, escalates int16->int32 on overflow"},
-    {KernelKind::kInt8, "int8",
-     "saturating 8-bit lanes, escalates int8->int16->int32 on overflow"},
 };
 
 }  // namespace
@@ -116,9 +114,8 @@ void sweep_rectangle_linear(KernelKind kind, std::span<const Residue> a,
                                   out_right, counters);
       return;
     case KernelKind::kInt16:
-    case KernelKind::kInt8:
-      sweep_rectangle_linear_narrow(resolve_kernel(kind), a, b, scheme, top,
-                                    left, out_bottom, out_right, counters);
+      sweep_rectangle_linear_narrow(a, b, scheme, top, left, out_bottom,
+                                    out_right, counters);
       return;
     default:
       sweep_rectangle_linear(a, b, scheme, top, left, out_bottom, out_right,

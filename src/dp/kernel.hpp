@@ -18,16 +18,15 @@ namespace flsa {
 
 /// Which sweep implementation a score-only rectangle is computed with.
 /// The scalar row sweep is the reference; the SIMD kernel walks the DPM by
-/// anti-diagonals (dp/kernel_simd.hpp); the narrow tiers sweep saturating
-/// int16/int8 lanes and transparently rescore any tile that saturates with
-/// the next wider tier (dp/kernel_narrow.hpp). Every kernel produces
-/// bit-identical boundary rows/columns and scores.
+/// anti-diagonals (dp/kernel_simd.hpp); the narrow tier sweeps saturating
+/// int16 lanes and transparently rescores any tile that saturates in int32
+/// (dp/kernel_narrow.hpp). Every kernel produces bit-identical boundary
+/// rows/columns and scores.
 enum class KernelKind : std::uint8_t {
   kAuto,    ///< pick the fastest always-exact kernel this CPU supports
   kScalar,  ///< the reference row sweep
   kSimd,    ///< vectorized int32 anti-diagonal sweep (scalar off-x86)
   kInt16,   ///< saturating 16-bit lanes, escalating int16 -> int32
-  kInt8,    ///< saturating 8-bit lanes, escalating int8 -> int16 -> int32
 };
 
 /// One row of the kernel dispatch table.
@@ -46,13 +45,12 @@ std::span<const KernelInfo> kernel_registry();
 /// Resolves kAuto against the runtime CPU: kSimd when a vector ISA is
 /// available, kScalar otherwise. Everything else passes through unchanged
 /// (every kind is safe everywhere — kSimd degrades to a scalar
-/// anti-diagonal sweep off-x86, and the narrow tiers escalate through it).
-/// kAuto deliberately never resolves to a narrow tier: the narrow kernels
-/// are opt-in because their win depends on the scheme's magnitude
-/// (docs/tuning.md).
+/// anti-diagonal sweep off-x86, and the narrow tier escalates through it).
+/// kAuto deliberately never resolves to the narrow tier: it is opt-in
+/// because its win depends on the scheme's magnitude (docs/tuning.md).
 KernelKind resolve_kernel(KernelKind requested);
 
-/// The registry name: "auto" | "scalar" | "simd" | "int16" | "int8".
+/// The registry name: "auto" | "scalar" | "simd" | "int16".
 const char* to_string(KernelKind kind);
 
 /// Parses any name in kernel_registry() (returns false on anything else).

@@ -19,32 +19,23 @@
 namespace flsa {
 namespace {
 
-/// Widest narrow vector (int8 AVX2 lanes); row buffers and profile rows
-/// are padded by this much so vector loops may overshoot.
+/// Row buffers and profile rows are padded by this much so vector loops
+/// may overshoot: the AVX2 band core's skewed 16-wide block loads reach
+/// up to 2 * 16 - 2 elements past a row's last column.
 constexpr std::size_t kNarrowPad = 32;
 
-template <typename T>
-struct NarrowTraits;
-
-template <>
-struct NarrowTraits<std::int16_t> {
-  static constexpr int kLo = std::numeric_limits<std::int16_t>::min();
-  static constexpr int kHi = std::numeric_limits<std::int16_t>::max();
-  /// Fixed tier constant for the scan-addend representability check
-  /// (the AVX2 lane count — the widest the scan may multiply gap by).
-  /// Deliberately *not* the active ISA's width: the escalation decision
-  /// must be identical on every host.
-  static constexpr int kScanLanes = 16;
-  static constexpr std::size_t kTileExtent = 1024;
-};
-
-template <>
-struct NarrowTraits<std::int8_t> {
-  static constexpr int kLo = std::numeric_limits<std::int8_t>::min();
-  static constexpr int kHi = std::numeric_limits<std::int8_t>::max();
-  static constexpr int kScanLanes = 32;
-  static constexpr std::size_t kTileExtent = 64;
-};
+using Lane = std::int16_t;
+constexpr int kLaneLo = std::numeric_limits<Lane>::min();
+constexpr int kLaneHi = std::numeric_limits<Lane>::max();
+/// Fixed constant for the scan-addend representability check (the AVX2
+/// lane count — the widest the scan may multiply gap by). Deliberately
+/// *not* the active ISA's width: the escalation decision must be
+/// identical on every host.
+constexpr int kScanLanes = 16;
+/// Internal tile extent (per dimension) large rectangles are cut into.
+/// Sized so realistic schemes keep a tile's relative score span inside
+/// the int16 range (docs/tuning.md).
+constexpr std::size_t kTileExtent = 1024;
 
 // ---- Scalar reference core (and off-x86 fallback). -----------------------
 //
@@ -53,18 +44,17 @@ struct NarrowTraits<std::int8_t> {
 // scan form) and aborts on the same rows, so escalation counts do not
 // depend on the host's vector ISA.
 
-template <typename T>
-bool narrow_core_scalar(std::size_t rows, std::size_t cols, T gap,
-                        const T* prof, std::size_t stride,
-                        const Residue* arow, const T* left_rel, T* row0,
-                        T* /*row1*/, T* right_col) {
-  constexpr int kLo = NarrowTraits<T>::kLo;
-  constexpr int kHi = NarrowTraits<T>::kHi;
-  auto sat = [](int v) { return v < kLo ? kLo : (v > kHi ? kHi : v); };
-  T* row = row0;  // in-place row propagation
+bool narrow_core_scalar(std::size_t rows, std::size_t cols, Lane gap,
+                        const Lane* prof, std::size_t stride,
+                        const Residue* arow, const Lane* left_rel,
+                        Lane* row0, Lane* /*row1*/, Lane* right_col) {
+  auto sat = [](int v) {
+    return v < kLaneLo ? kLaneLo : (v > kLaneHi ? kLaneHi : v);
+  };
+  Lane* row = row0;  // in-place row propagation
   right_col[0] = row[cols];
   for (std::size_t r = 1; r <= rows; ++r) {
-    const T* pr = prof + static_cast<std::size_t>(arow[r - 1]) * stride;
+    const Lane* pr = prof + static_cast<std::size_t>(arow[r - 1]) * stride;
     int diag = row[0];
     row[0] = left_rel[r];
     int left = row[0];
@@ -73,10 +63,10 @@ bool narrow_core_scalar(std::size_t rows, std::size_t cols, T gap,
       const int up = row[c];
       const int best = std::max(sat(diag + pr[c - 1]),
                                 std::max(sat(up + gap), sat(left + gap)));
-      railed = railed || best == kLo || best == kHi;
+      railed = railed || best == kLaneLo || best == kLaneHi;
       diag = up;
       left = best;
-      row[c] = static_cast<T>(best);
+      row[c] = static_cast<Lane>(best);
     }
     if (railed) return false;
     right_col[r] = row[cols];
@@ -84,7 +74,7 @@ bool narrow_core_scalar(std::size_t rows, std::size_t cols, T gap,
   return true;
 }
 
-// ---- SIMD cores, stamped per ISA x element width. ------------------------
+// ---- SIMD cores, stamped per ISA. ----------------------------------------
 
 #if FLSA_NARROW_X86
 
@@ -119,20 +109,9 @@ __attribute__((target("avx2"))) inline __m256i avx2_bcast_last_epi16(
   return _mm256_shuffle_epi8(q, _mm256_set1_epi16(0x0706));
 }
 
-__attribute__((target("avx2"))) inline __m256i avx2_bcast_last_epi8(
-    __m256i v) {
-  const __m256i q = _mm256_permute4x64_epi64(v, 0xFF);
-  return _mm256_shuffle_epi8(q, _mm256_set1_epi8(7));
-}
-
 __attribute__((target("sse4.1"))) inline __m128i sse41_bcast_last_epi16(
     __m128i v) {
   return _mm_shuffle_epi8(v, _mm_set1_epi16(0x0F0E));
-}
-
-__attribute__((target("sse4.1"))) inline __m128i sse41_bcast_last_epi8(
-    __m128i v) {
-  return _mm_shuffle_epi8(v, _mm_set1_epi8(15));
 }
 
 // AVX2, 16 lanes of int16.
@@ -178,49 +157,6 @@ __attribute__((target("sse4.1"))) inline __m128i sse41_bcast_last_epi8(
 #undef FLSA_NSHIFTIN
 #undef FLSA_NBCAST
 
-// AVX2, 32 lanes of int8.
-#define FLSA_NNS avx2_i8
-#define FLSA_NFN __attribute__((target("avx2")))
-#define FLSA_NELEM std::int8_t
-#define FLSA_NW 32
-#define FLSA_NVEC __m256i
-#define FLSA_NLOADU(p) \
-  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
-#define FLSA_NSTOREU(p, v) \
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), (v))
-#define FLSA_NSET1(x) _mm256_set1_epi8((x))
-#define FLSA_NADDS(a, b) _mm256_adds_epi8((a), (b))
-#define FLSA_NMAX(a, b) _mm256_max_epi8((a), (b))
-#define FLSA_NMIN(a, b) _mm256_min_epi8((a), (b))
-#define FLSA_NOR(a, b) _mm256_or_si256((a), (b))
-#define FLSA_NAND(a, b) _mm256_and_si256((a), (b))
-#define FLSA_NCMPEQ(a, b) _mm256_cmpeq_epi8((a), (b))
-#define FLSA_NCMPGT(a, b) _mm256_cmpgt_epi8((a), (b))
-#define FLSA_NMOVEMASK(v) _mm256_movemask_epi8((v))
-#define FLSA_NZERO() _mm256_setzero_si256()
-#define FLSA_NSHIFTIN(v, m) avx2_shiftin_bytes<(m)>((v), vlo)
-#define FLSA_NBCAST(v) avx2_bcast_last_epi8((v))
-#include "dp/kernel_narrow_lanes.inc"
-#undef FLSA_NNS
-#undef FLSA_NFN
-#undef FLSA_NELEM
-#undef FLSA_NW
-#undef FLSA_NVEC
-#undef FLSA_NLOADU
-#undef FLSA_NSTOREU
-#undef FLSA_NSET1
-#undef FLSA_NADDS
-#undef FLSA_NMAX
-#undef FLSA_NMIN
-#undef FLSA_NOR
-#undef FLSA_NAND
-#undef FLSA_NCMPEQ
-#undef FLSA_NCMPGT
-#undef FLSA_NMOVEMASK
-#undef FLSA_NZERO
-#undef FLSA_NSHIFTIN
-#undef FLSA_NBCAST
-
 // SSE4.1, 8 lanes of int16.
 #define FLSA_NNS sse41_i16
 #define FLSA_NFN __attribute__((target("sse4.1")))
@@ -242,48 +178,6 @@ __attribute__((target("sse4.1"))) inline __m128i sse41_bcast_last_epi8(
 #define FLSA_NZERO() _mm_setzero_si128()
 #define FLSA_NSHIFTIN(v, m) sse41_shiftin_bytes<(m) * 2>((v), vlo)
 #define FLSA_NBCAST(v) sse41_bcast_last_epi16((v))
-#include "dp/kernel_narrow_lanes.inc"
-#undef FLSA_NNS
-#undef FLSA_NFN
-#undef FLSA_NELEM
-#undef FLSA_NW
-#undef FLSA_NVEC
-#undef FLSA_NLOADU
-#undef FLSA_NSTOREU
-#undef FLSA_NSET1
-#undef FLSA_NADDS
-#undef FLSA_NMAX
-#undef FLSA_NMIN
-#undef FLSA_NOR
-#undef FLSA_NAND
-#undef FLSA_NCMPEQ
-#undef FLSA_NCMPGT
-#undef FLSA_NMOVEMASK
-#undef FLSA_NZERO
-#undef FLSA_NSHIFTIN
-#undef FLSA_NBCAST
-
-// SSE4.1, 16 lanes of int8.
-#define FLSA_NNS sse41_i8
-#define FLSA_NFN __attribute__((target("sse4.1")))
-#define FLSA_NELEM std::int8_t
-#define FLSA_NW 16
-#define FLSA_NVEC __m128i
-#define FLSA_NLOADU(p) _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))
-#define FLSA_NSTOREU(p, v) \
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), (v))
-#define FLSA_NSET1(x) _mm_set1_epi8((x))
-#define FLSA_NADDS(a, b) _mm_adds_epi8((a), (b))
-#define FLSA_NMAX(a, b) _mm_max_epi8((a), (b))
-#define FLSA_NMIN(a, b) _mm_min_epi8((a), (b))
-#define FLSA_NOR(a, b) _mm_or_si128((a), (b))
-#define FLSA_NAND(a, b) _mm_and_si128((a), (b))
-#define FLSA_NCMPEQ(a, b) _mm_cmpeq_epi8((a), (b))
-#define FLSA_NCMPGT(a, b) _mm_cmpgt_epi8((a), (b))
-#define FLSA_NMOVEMASK(v) _mm_movemask_epi8((v))
-#define FLSA_NZERO() _mm_setzero_si128()
-#define FLSA_NSHIFTIN(v, m) sse41_shiftin_bytes<(m)>((v), vlo)
-#define FLSA_NBCAST(v) sse41_bcast_last_epi8((v))
 #include "dp/kernel_narrow_lanes.inc"
 #undef FLSA_NNS
 #undef FLSA_NFN
@@ -564,18 +458,12 @@ __attribute__((target("avx2"))) bool avx2_band_core_i16(
 
 // ---- Per-thread scratch. -------------------------------------------------
 
-template <typename T>
-struct NarrowBufs {
-  std::vector<T> prof;      ///< full-width narrow profile, row stride padded
-  std::vector<T> left_rel;  ///< relative left boundary of the current tile
-  std::vector<T> row0;      ///< relative row buffers, kNarrowPad-padded
-  std::vector<T> row1;
-  std::vector<T> right;     ///< relative right column of the current tile
-};
-
 struct NarrowScratch {
-  NarrowBufs<std::int16_t> b16;
-  NarrowBufs<std::int8_t> b8;
+  std::vector<Lane> prof;      ///< full-width int16 profile, row stride padded
+  std::vector<Lane> left_rel;  ///< relative left boundary of the current tile
+  std::vector<Lane> row0;      ///< relative row buffers, kNarrowPad-padded
+  std::vector<Lane> row1;
+  std::vector<Lane> right;     ///< relative right column of the current tile
   std::vector<Score> row_line;    ///< int32 bottom boundary carried between
                                   ///< internal row strips
   std::vector<Score> col_line;    ///< int32 right boundary within a strip
@@ -587,111 +475,82 @@ NarrowScratch& nscratch() {
   return s;
 }
 
-template <typename T>
-NarrowBufs<T>& bufs(NarrowScratch& s);
-template <>
-NarrowBufs<std::int16_t>& bufs<std::int16_t>(NarrowScratch& s) {
-  return s.b16;
-}
-template <>
-NarrowBufs<std::int8_t>& bufs<std::int8_t>(NarrowScratch& s) {
-  return s.b8;
-}
-
-/// Whole-call tier gate on the gap penalty: it must be exactly
-/// representable, and so must every scan/carry addend the cores form
-/// (kScanLanes * |gap|). With that, saturation can only happen on a
-/// stored cell value — where it is detected.
-template <typename T>
-bool tier_gap_ok(Score gap) {
-  using Tr = NarrowTraits<T>;
-  if (gap > 0 || gap <= Tr::kLo) return false;
-  return static_cast<std::int64_t>(Tr::kScanLanes) *
+/// Whole-call gate on the gap penalty: it must be exactly representable,
+/// and so must every scan/carry addend the cores form (kScanLanes *
+/// |gap|). With that, saturation can only happen on a stored cell value —
+/// where it is detected.
+bool gap_fits(Score gap) {
+  if (gap > 0 || gap <= kLaneLo) return false;
+  return static_cast<std::int64_t>(kScanLanes) *
              -static_cast<std::int64_t>(gap) <=
-         static_cast<std::int64_t>(Tr::kHi);
+         static_cast<std::int64_t>(kLaneHi);
 }
 
-/// Builds the tier's full-width profile, each row padded with kNarrowPad
+/// Builds the full-width int16 profile, each row padded with kNarrowPad
 /// low-rail entries on BOTH sides: row x's scores live at
 /// prof[x * stride + kNarrowPad + j] with stride = 2 * kNarrowPad + cols.
 /// The right pad absorbs the row-sweep cores' load overshoot; the left
 /// pad absorbs the band core's skewed transpose loads, which start up to
 /// kW - 1 elements left of a tile's first column (pad values only ever
 /// reach lanes outside their row's valid range). Rejects (returns false)
-/// if any score is not strictly inside the tier's rails.
-template <typename T, typename ScoreAt>
+/// if any score is not strictly inside the rails.
+template <typename ScoreAt>
 bool build_profile(std::size_t cols, std::size_t alphabet,
-                   const ScoreAt& score_at, std::vector<T>& prof) {
-  using Tr = NarrowTraits<T>;
+                   const ScoreAt& score_at, std::vector<Lane>& prof) {
   const std::size_t stride = kNarrowPad + cols + kNarrowPad;
   prof.resize(alphabet * stride);
   for (std::size_t x = 0; x < alphabet; ++x) {
-    T* row = prof.data() + x * stride;
-    std::fill(row, row + kNarrowPad, static_cast<T>(Tr::kLo));
+    Lane* row = prof.data() + x * stride;
+    std::fill(row, row + kNarrowPad, static_cast<Lane>(kLaneLo));
     std::fill(row + kNarrowPad + cols, row + stride,
-              static_cast<T>(Tr::kLo));
-    T* dst = row + kNarrowPad;
+              static_cast<Lane>(kLaneLo));
+    Lane* dst = row + kNarrowPad;
     for (std::size_t j = 0; j < cols; ++j) {
       const Score s = score_at(static_cast<Residue>(x), j);
-      if (s <= Tr::kLo || s >= Tr::kHi) return false;
-      dst[j] = static_cast<T>(s);
+      if (s <= kLaneLo || s >= kLaneHi) return false;
+      dst[j] = static_cast<Lane>(s);
     }
   }
   return true;
 }
 
-/// Runs the narrow core matching the active ISA (scalar off-x86).
-template <typename T>
-bool run_core(std::size_t rows, std::size_t cols, T gap, const T* prof,
-              std::size_t stride, const Residue* arow, NarrowBufs<T>& sb) {
+/// Runs the int16 core matching the active ISA (scalar off-x86).
+bool run_core(std::size_t rows, std::size_t cols, Lane gap, const Lane* prof,
+              std::size_t stride, const Residue* arow, NarrowScratch& sb) {
 #if FLSA_NARROW_X86
   const SimdIsa isa = active_simd_isa();
   if (isa == SimdIsa::kAvx2) {
-    if constexpr (sizeof(T) == 2) {
-      return avx2_band_core_i16(rows, cols, gap, prof, stride, arow,
-                                sb.left_rel.data(), sb.row0.data(),
-                                sb.row1.data(), sb.right.data());
-    } else {
-      return avx2_i8::narrow_core(rows, cols, gap, prof, stride, arow,
-                                  sb.left_rel.data(), sb.row0.data(),
-                                  sb.row1.data(), sb.right.data());
-    }
+    return avx2_band_core_i16(rows, cols, gap, prof, stride, arow,
+                              sb.left_rel.data(), sb.row0.data(),
+                              sb.row1.data(), sb.right.data());
   }
   if (isa == SimdIsa::kSse41) {
-    if constexpr (sizeof(T) == 2) {
-      return sse41_i16::narrow_core(rows, cols, gap, prof, stride, arow,
-                                    sb.left_rel.data(), sb.row0.data(),
-                                    sb.row1.data(), sb.right.data());
-    } else {
-      return sse41_i8::narrow_core(rows, cols, gap, prof, stride, arow,
-                                   sb.left_rel.data(), sb.row0.data(),
-                                   sb.row1.data(), sb.right.data());
-    }
+    return sse41_i16::narrow_core(rows, cols, gap, prof, stride, arow,
+                                  sb.left_rel.data(), sb.row0.data(),
+                                  sb.row1.data(), sb.right.data());
   }
 #endif
-  return narrow_core_scalar<T>(rows, cols, gap, prof, stride, arow,
-                               sb.left_rel.data(), sb.row0.data(),
-                               sb.row1.data(), sb.right.data());
+  return narrow_core_scalar(rows, cols, gap, prof, stride, arow,
+                            sb.left_rel.data(), sb.row0.data(),
+                            sb.row1.data(), sb.right.data());
 }
 
-/// Attempts one internal tile in the narrow type T. The boundary values
-/// are shifted by the tile's offset into the narrow relative domain;
-/// outputs are converted back on success. The offset is the MIDPOINT of
-/// the boundary's value range, not its maximum: the tile interior extends
-/// below the boundary minimum by up to |gap| * (rows + cols) and above
-/// the boundary maximum by the scheme's best climb rate, so centering the
-/// boundary halves the headroom a tile needs on each side — off-diagonal
-/// tiles with a wide boundary spread fit where a max-anchored domain
-/// rails. Returns false when a boundary value does not fit the relative
-/// range or the core railed — outputs are untouched in that case.
-/// out_bottom may alias top (inputs are consumed into the relative
-/// buffers first).
-template <typename T>
-bool try_tile(std::size_t rows, std::size_t cols, Score gap, const T* prof,
-              std::size_t stride, const Residue* arow, const Score* top,
-              const Score* left, Score* out_bottom, Score* out_right) {
-  using Tr = NarrowTraits<T>;
-  NarrowBufs<T>& sb = bufs<T>(nscratch());
+/// Attempts one internal tile in int16. The boundary values are shifted
+/// by the tile's offset into the relative domain; outputs are converted
+/// back on success. The offset is the MIDPOINT of the boundary's value
+/// range, not its maximum: the tile interior extends below the boundary
+/// minimum by up to |gap| * (rows + cols) and above the boundary maximum
+/// by the scheme's best climb rate, so centering the boundary halves the
+/// headroom a tile needs on each side — off-diagonal tiles with a wide
+/// boundary spread fit where a max-anchored domain rails. Returns false
+/// when a boundary value does not fit the relative range or the core
+/// railed — outputs are untouched in that case. out_bottom may alias top
+/// (inputs are consumed into the relative buffers first).
+bool try_tile(std::size_t rows, std::size_t cols, Score gap,
+              const Lane* prof, std::size_t stride, const Residue* arow,
+              const Score* top, const Score* left, Score* out_bottom,
+              Score* out_right) {
+  NarrowScratch& sb = nscratch();
 
   Score bmax = top[0];
   Score bmin = top[0];
@@ -711,20 +570,20 @@ bool try_tile(std::size_t rows, std::size_t cols, Score gap, const T* prof,
   sb.right.resize(rows + 1);
   for (std::size_t j = 0; j <= cols; ++j) {
     const Score rel = top[j] - off;
-    if (rel <= Tr::kLo || rel >= Tr::kHi) return false;
-    sb.row0[j] = static_cast<T>(rel);
+    if (rel <= kLaneLo || rel >= kLaneHi) return false;
+    sb.row0[j] = static_cast<Lane>(rel);
   }
   for (std::size_t i = 0; i < kNarrowPad; ++i) {
-    sb.row0[cols + 1 + i] = static_cast<T>(Tr::kLo);
+    sb.row0[cols + 1 + i] = static_cast<Lane>(kLaneLo);
   }
   for (std::size_t r = 0; r <= rows; ++r) {
     const Score rel = left[r] - off;
-    if (rel <= Tr::kLo || rel >= Tr::kHi) return false;
-    sb.left_rel[r] = static_cast<T>(rel);
+    if (rel <= kLaneLo || rel >= kLaneHi) return false;
+    sb.left_rel[r] = static_cast<Lane>(rel);
   }
 
-  if (!run_core<T>(rows, cols, static_cast<T>(gap), prof, stride, arow,
-                   sb)) {
+  if (!run_core(rows, cols, static_cast<Lane>(gap), prof, stride, arow,
+                sb)) {
     return false;
   }
 
@@ -744,20 +603,19 @@ void note_escalations(DpCounters* counters, std::uint64_t n) {
 }
 
 /// The shared strip-tiling driver: cuts the rectangle into internal tiles
-/// of the starting tier's extent, carries exact int32 boundary lines
-/// between them, and escalates per tile (int8 -> int16 -> int32).
+/// of kTileExtent, carries exact int32 boundary lines between them, and
+/// escalates per tile (int16 -> int32).
 ///
 /// score_at(x, j) is the int32 substitution score of residue x against
 /// global column j. whole_int32 rescinds the entire call to the int32
-/// reference path (used when the scheme itself does not fit any narrow
-/// tier); tile_int32(rs, cs, trows, tcols, top, left, out_bottom,
-/// out_right) rescored one tile (out_bottom aliases its top slice;
-/// out_right never aliases).
+/// reference path (used when the scheme itself does not fit int16);
+/// tile_int32(rs, cs, trows, tcols, top, left, out_bottom, out_right)
+/// rescores one tile (out_bottom aliases its top slice; out_right never
+/// aliases).
 template <typename ScoreAt, typename WholeFallback, typename TileFallback>
-void narrow_sweep_impl(bool start_int8, std::size_t rows, std::size_t cols,
-                       Score gap, std::size_t alphabet,
-                       const ScoreAt& score_at, const Residue* arow,
-                       std::span<const Score> top,
+void narrow_sweep_impl(std::size_t rows, std::size_t cols, Score gap,
+                       std::size_t alphabet, const ScoreAt& score_at,
+                       const Residue* arow, std::span<const Score> top,
                        std::span<const Score> left,
                        std::span<Score> out_bottom,
                        std::span<Score> out_right, DpCounters* counters,
@@ -766,24 +624,14 @@ void narrow_sweep_impl(bool start_int8, std::size_t rows, std::size_t cols,
   NarrowScratch& ns = nscratch();
   std::uint64_t escal = 0;
 
-  // Whole-call tier gates: the scheme must fit the tier at all; otherwise
-  // the entire call escalates one tier in a single step.
-  const bool use8 = start_int8 && tier_gap_ok<std::int8_t>(gap) &&
-                    build_profile<std::int8_t>(cols, alphabet, score_at,
-                                               ns.b8.prof);
-  if (start_int8 && !use8) ++escal;
-  const bool use16 =
-      tier_gap_ok<std::int16_t>(gap) &&
-      build_profile<std::int16_t>(cols, alphabet, score_at, ns.b16.prof);
-  if (!use16) {
-    ++escal;
-    note_escalations(counters, escal);
+  // Whole-call gate: the scheme must fit int16 at all; otherwise the
+  // entire call escalates to int32 in a single step.
+  if (!gap_fits(gap) || !build_profile(cols, alphabet, score_at, ns.prof)) {
+    note_escalations(counters, 1);
     whole_int32();
     return;
   }
 
-  const std::size_t ext = use8 ? NarrowTraits<std::int8_t>::kTileExtent
-                               : NarrowTraits<std::int16_t>::kTileExtent;
   const std::size_t stride = kNarrowPad + cols + kNarrowPad;
 
   // row_line starts as the rectangle's top boundary; each strip replaces
@@ -791,15 +639,15 @@ void narrow_sweep_impl(bool start_int8, std::size_t rows, std::size_t cols,
   // entries left of the cursor hold the strip's bottom and those right of
   // it still hold its top. col_line does the same along a strip.
   ns.row_line.assign(top.begin(), top.end());
-  for (std::size_t rs = 0; rs < rows; rs += ext) {
-    const std::size_t re = std::min(rows, rs + ext);
+  for (std::size_t rs = 0; rs < rows; rs += kTileExtent) {
+    const std::size_t re = std::min(rows, rs + kTileExtent);
     const std::size_t trows = re - rs;
     ns.col_line.resize(trows + 1);
     for (std::size_t i = 0; i <= trows; ++i) {
       ns.col_line[i] = left[rs + i];
     }
-    for (std::size_t cs = 0; cs < cols; cs += ext) {
-      const std::size_t ce = std::min(cols, cs + ext);
+    for (std::size_t cs = 0; cs < cols; cs += kTileExtent) {
+      const std::size_t ce = std::min(cols, cs + kTileExtent);
       const std::size_t tcols = ce - cs;
       Score* ttop = ns.row_line.data() + cs;
       // The previous tile of this strip overwrote row_line[cs] (the shared
@@ -807,29 +655,15 @@ void narrow_sweep_impl(bool start_int8, std::size_t rows, std::size_t cols,
       // previous tile's top-right value, which col_line[0] still holds.
       ttop[0] = ns.col_line[0];
       ns.right_line.resize(trows + 1);
-      bool done = false;
-      if (use8) {
-        done = try_tile<std::int8_t>(trows, tcols, gap,
-                                     ns.b8.prof.data() + kNarrowPad + cs,
-                                     stride, arow + rs, ttop,
-                                     ns.col_line.data(), ttop,
-                                     ns.right_line.data());
-        if (!done) ++escal;
-      }
-      if (!done) {
-        done = try_tile<std::int16_t>(trows, tcols, gap,
-                                      ns.b16.prof.data() + kNarrowPad + cs,
-                                      stride, arow + rs, ttop,
-                                      ns.col_line.data(), ttop,
-                                      ns.right_line.data());
-        if (!done) ++escal;
-      }
-      if (done) {
+      if (try_tile(trows, tcols, gap, ns.prof.data() + kNarrowPad + cs,
+                   stride, arow + rs, ttop, ns.col_line.data(), ttop,
+                   ns.right_line.data())) {
         if (counters) {
           counters->cells_scored +=
               static_cast<std::uint64_t>(trows) * tcols;
         }
       } else {
+        ++escal;
         tile_int32(rs, cs, trows, tcols,
                    std::span<const Score>(ttop, tcols + 1),
                    std::span<const Score>(ns.col_line.data(), trows + 1),
@@ -885,19 +719,7 @@ void profiled_tile_int32(const QueryProfile& profile, std::size_t col0,
 
 }  // namespace
 
-bool narrow_kernel_kind(KernelKind kind) {
-  return kind == KernelKind::kInt16 || kind == KernelKind::kInt8;
-}
-
-std::size_t narrow_tile_extent(KernelKind kind) {
-  FLSA_REQUIRE(narrow_kernel_kind(kind));
-  return kind == KernelKind::kInt8
-             ? NarrowTraits<std::int8_t>::kTileExtent
-             : NarrowTraits<std::int16_t>::kTileExtent;
-}
-
-void sweep_rectangle_linear_narrow(KernelKind tier,
-                                   std::span<const Residue> a,
+void sweep_rectangle_linear_narrow(std::span<const Residue> a,
                                    std::span<const Residue> b,
                                    const ScoringScheme& scheme,
                                    std::span<const Score> top,
@@ -905,7 +727,6 @@ void sweep_rectangle_linear_narrow(KernelKind tier,
                                    std::span<Score> out_bottom,
                                    std::span<Score> out_right,
                                    DpCounters* counters) {
-  FLSA_REQUIRE(narrow_kernel_kind(tier));
   const std::size_t rows = a.size();
   const std::size_t cols = b.size();
   FLSA_REQUIRE(scheme.is_linear());
@@ -939,18 +760,15 @@ void sweep_rectangle_linear_narrow(KernelKind tier,
                                 scheme, ttop, tleft, tbottom, tright,
                                 counters);
   };
-  narrow_sweep_impl(tier == KernelKind::kInt8, rows, cols,
-                    scheme.gap_extend(), sub.alphabet().size(), score_at,
-                    a.data(), top, left, out_bottom, out_right, counters,
-                    whole_int32, tile_int32);
+  narrow_sweep_impl(rows, cols, scheme.gap_extend(), sub.alphabet().size(),
+                    score_at, a.data(), top, left, out_bottom, out_right,
+                    counters, whole_int32, tile_int32);
 }
 
-std::vector<Score> last_row_profiled_narrow(KernelKind tier,
-                                            std::span<const Residue> a,
+std::vector<Score> last_row_profiled_narrow(std::span<const Residue> a,
                                             const QueryProfile& profile,
                                             const ScoringScheme& scheme,
                                             DpCounters* counters) {
-  FLSA_REQUIRE(narrow_kernel_kind(tier));
   FLSA_REQUIRE(scheme.is_linear());
   const std::size_t rows = a.size();
   const std::size_t cols = profile.length();
@@ -981,11 +799,10 @@ std::vector<Score> last_row_profiled_narrow(KernelKind tier,
     profiled_tile_int32(profile, cs, gap, a.data() + rs, trows, tcols, ttop,
                         tleft, tbottom, tright, counters);
   };
-  narrow_sweep_impl(tier == KernelKind::kInt8, rows, cols, gap,
-                    scheme.alphabet().size(), score_at, a.data(),
-                    std::span<const Score>(row), std::span<const Score>(left),
-                    std::span<Score>(row), {}, counters, whole_int32,
-                    tile_int32);
+  narrow_sweep_impl(rows, cols, gap, scheme.alphabet().size(), score_at,
+                    a.data(), std::span<const Score>(row),
+                    std::span<const Score>(left), std::span<Score>(row), {},
+                    counters, whole_int32, tile_int32);
   return row;
 }
 

@@ -1,34 +1,34 @@
-// Narrow-integer (int16 / int8) saturating sweep kernels with overflow
+// Narrow-integer (int16) saturating sweep kernel with overflow
 // escalation.
 //
 // The int32 SIMD kernel (dp/kernel_simd.hpp) moves 8 lanes per AVX2
-// vector; 16-bit lanes double that and 8-bit lanes double it again — *if*
-// the DP values fit. They usually do not fit globally (a global DPM's
-// values span the whole alignment's score range), so the narrow kernels
-// work on bounded tiles in a *relative* domain:
+// vector; 16-bit lanes double that — *if* the DP values fit. They usually
+// do not fit globally (a global DPM's values span the whole alignment's
+// score range), so the narrow kernel works on bounded tiles in a
+// *relative* domain:
 //
-//   1. A rectangle larger than the tier's tile extent is internally cut
-//      into tiles of at most narrow_tile_extent() per dimension, with
-//      exact int32 boundary lines carried between them.
+//   1. A rectangle larger than the tile extent (1024) is internally cut
+//      into tiles of at most that many cells per dimension, with exact
+//      int32 boundary lines carried between them.
 //   2. Each tile subtracts the maximum of its boundary values (the offset)
 //      and sweeps entirely in the narrow type with saturating arithmetic.
 //   3. Every input is pre-checked to be exactly representable; then every
 //      stored narrow value equals clamp(true value), and a stored value
 //      that equals a saturation rail is a sound and complete overflow
 //      signal (the clamp-algebra argument is in kernel_narrow_lanes.inc).
-//      A railed tile is aborted and transparently rescored with the next
-//      wider tier — int8 -> int16 -> int32 — so the final boundary lines
-//      are always bit-identical to the scalar int32 reference.
+//      A railed tile is aborted and transparently rescored in int32, so
+//      the final boundary lines are always bit-identical to the scalar
+//      int32 reference.
 //
 // Escalations are counted in DpCounters::kernel_escalations (and the
-// "kernel.escalations" obs metric): one per tier step, whether the step
-// was a per-tile saturation abort or a whole-call representability
-// rejection (scheme magnitude or gap out of the tier's range).
+// "kernel.escalations" obs metric): one per int16 -> int32 step, whether
+// the step was a per-tile saturation abort or a whole-call
+// representability rejection (scheme magnitude or gap out of range).
 //
 // The escalation decision is deterministic across hosts: the scalar core
 // (the off-x86 fallback) stores the same clamped values and aborts on the
 // same rows as the SIMD cores, and the representability checks use fixed
-// per-tier constants rather than the active ISA's lane count.
+// constants rather than the active ISA's lane count.
 #pragma once
 
 #include <span>
@@ -42,21 +42,11 @@
 
 namespace flsa {
 
-/// True for the saturating tiers (kInt16 / kInt8).
-bool narrow_kernel_kind(KernelKind kind);
-
-/// Internal tile extent (per dimension) the tier cuts large rectangles
-/// into: 1024 for int16, 64 for int8. Sized so realistic schemes keep a
-/// tile's relative score span inside the narrow range (docs/tuning.md).
-std::size_t narrow_tile_extent(KernelKind kind);
-
 /// Drop-in replacement for sweep_rectangle_linear (same boundary layout,
 /// same aliasing guarantee for out_bottom/top, same cells_scored
-/// accounting) running the requested narrow tier with escalation. `tier`
-/// must be kInt16 or kInt8. Never fails: tiles the wider tiers cannot
-/// avoid are rescored in int32.
-void sweep_rectangle_linear_narrow(KernelKind tier,
-                                   std::span<const Residue> a,
+/// accounting) running the int16 tier with escalation. Never fails: tiles
+/// that saturate are rescored in int32.
+void sweep_rectangle_linear_narrow(std::span<const Residue> a,
                                    std::span<const Residue> b,
                                    const ScoringScheme& scheme,
                                    std::span<const Score> top,
@@ -65,12 +55,10 @@ void sweep_rectangle_linear_narrow(KernelKind tier,
                                    std::span<Score> out_right,
                                    DpCounters* counters = nullptr);
 
-/// Profiled last row through the narrow lanes: substitution scores come
-/// from the QueryProfile's flat rows (converted to the narrow type per
-/// call). Bit-identical to last_row_profiled. `tier` must be kInt16 or
-/// kInt8.
-std::vector<Score> last_row_profiled_narrow(KernelKind tier,
-                                            std::span<const Residue> a,
+/// Profiled last row through the int16 lanes: substitution scores come
+/// from the QueryProfile's flat rows (converted to int16 per call).
+/// Bit-identical to last_row_profiled.
+std::vector<Score> last_row_profiled_narrow(std::span<const Residue> a,
                                             const QueryProfile& profile,
                                             const ScoringScheme& scheme,
                                             DpCounters* counters = nullptr);

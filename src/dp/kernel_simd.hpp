@@ -2,9 +2,10 @@
 //
 // The scalar row sweep (dp/kernel.cpp) is latency-bound: every cell waits
 // on its left neighbour through the `row[c-1]` dependence. Walking the DPM
-// by anti-diagonals removes all intra-step dependences (dp/antidiagonal.hpp
-// explains why), so one SIMD lane can own one cell of the diagonal and the
-// whole diagonal advances per instruction group. Substitution scores enter
+// by anti-diagonals removes all intra-step dependences — every cell of a
+// diagonal depends only on the two previous diagonals — so one SIMD lane
+// can own one cell of the diagonal and the whole diagonal advances per
+// instruction group. Substitution scores enter
 // the lanes through a gathered table lookup — either the raw substitution
 // matrix or a QueryProfile's flat rows.
 //

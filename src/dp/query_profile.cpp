@@ -60,8 +60,8 @@ std::vector<Score> last_row_profiled(KernelKind kind,
   if (resolved == KernelKind::kSimd) {
     return last_row_profiled_simd(a, profile, scheme, counters);
   }
-  if (narrow_kernel_kind(resolved)) {
-    return last_row_profiled_narrow(resolved, a, profile, scheme, counters);
+  if (resolved == KernelKind::kInt16) {
+    return last_row_profiled_narrow(a, profile, scheme, counters);
   }
   return last_row_profiled(a, profile, scheme, counters);
 }

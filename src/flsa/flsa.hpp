@@ -16,7 +16,6 @@
 #include "core/semiglobal.hpp"
 #include "core/textutil.hpp"
 #include "dp/alignment.hpp"
-#include "dp/antidiagonal.hpp"
 #include "dp/banded.hpp"
 #include "dp/cooptimal.hpp"
 #include "dp/format.hpp"
@@ -41,7 +40,6 @@
 #include "search/chain.hpp"
 #include "search/kmer_index.hpp"
 #include "search/reference_index.hpp"
-#include "search/seed_extend.hpp"
 
 #include "scoring/builtin.hpp"
 #include "scoring/matrix_io.hpp"

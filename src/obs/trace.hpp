@@ -38,7 +38,7 @@ struct TraceSpan {
   std::int64_t line = -1;
   std::int64_t tiles = -1;
   /// Scheduling policy that ran the tile (static string, e.g.
-  /// "work-stealing"); nullptr when not applicable, omitted from JSON.
+  /// "dependency-counter"); nullptr when not applicable, omitted from JSON.
   const char* scheduler = nullptr;
 };
 

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -17,7 +16,6 @@ const char* to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kBarrierStaged: return "barrier-staged";
     case SchedulerKind::kDependencyCounter: return "dependency-counter";
-    case SchedulerKind::kWorkStealing: return "work-stealing";
   }
   return "?";
 }
@@ -27,8 +25,6 @@ bool parse_scheduler_kind(std::string_view name, SchedulerKind* out) {
     *out = SchedulerKind::kBarrierStaged;
   } else if (name == "dependency" || name == "dependency-counter") {
     *out = SchedulerKind::kDependencyCounter;
-  } else if (name == "stealing" || name == "work-stealing") {
-    *out = SchedulerKind::kWorkStealing;
   } else {
     return false;
   }
@@ -64,9 +60,6 @@ void WavefrontExecutor::run(std::size_t tile_rows, std::size_t tile_cols,
       break;
     case SchedulerKind::kDependencyCounter:
       run_dependency(tile_rows, tile_cols, skip, work, phase);
-      break;
-    case SchedulerKind::kWorkStealing:
-      run_work_stealing(tile_rows, tile_cols, skip, work, phase);
       break;
   }
 }
@@ -153,20 +146,31 @@ void WavefrontExecutor::run_dependency(std::size_t tile_rows,
   std::condition_variable cv;
   std::deque<std::pair<std::size_t, std::size_t>> ready;
   std::size_t completed = 0;
+  bool failed = false;  // a tile threw: its successors will never be ready
   ready.emplace_back(0, 0);
   FLSA_ASSERT(!(skip && skip(0, 0)));
 
   pool_.parallel_run([&](unsigned worker) {
     std::unique_lock<std::mutex> lock(mutex);
     while (true) {
-      cv.wait(lock,
-              [&] { return !ready.empty() || completed == runnable_total; });
-      if (ready.empty()) break;  // all done
+      cv.wait(lock, [&] {
+        return failed || !ready.empty() || completed == runnable_total;
+      });
+      if (failed || ready.empty()) break;  // a tile threw, or all done
       const auto [ti, tj] = ready.front();
       ready.pop_front();
       lock.unlock();
 
-      run_tile(work, ti, tj, worker, phase, tag);
+      try {
+        run_tile(work, ti, tj, worker, phase, tag);
+      } catch (...) {
+        // Wake every waiting worker so none waits for a tile this one
+        // would have released; the pool delivers the error to the caller.
+        lock.lock();
+        failed = true;
+        cv.notify_all();
+        throw;
+      }
 
       std::size_t newly_ready = 0;
       auto release = [&](std::size_t ri, std::size_t rj) {
@@ -195,129 +199,6 @@ void WavefrontExecutor::run_dependency(std::size_t tile_rows,
     }
   });
   FLSA_ASSERT(completed == runnable_total);
-}
-
-void WavefrontExecutor::run_work_stealing(std::size_t tile_rows,
-                                          std::size_t tile_cols,
-                                          TileSkipFn skip, TileWorkFn work,
-                                          TilePhase phase) {
-  const char* tag = to_string(SchedulerKind::kWorkStealing);
-  const std::size_t total_slots = tile_rows * tile_cols;
-  FLSA_ASSERT(total_slots <= UINT32_MAX);  // deques hold 32-bit tile ids
-  auto index_of = [tile_cols](std::size_t ti, std::size_t tj) {
-    return ti * tile_cols + tj;
-  };
-
-  // Same dependency-counter initialization as run_dependency.
-  std::atomic<int>* deps = ensure_deps(total_slots);
-  std::size_t runnable_total = 0;
-  for (std::size_t ti = 0; ti < tile_rows; ++ti) {
-    for (std::size_t tj = 0; tj < tile_cols; ++tj) {
-      if (skip && skip(ti, tj)) {
-        deps[index_of(ti, tj)].store(-1, std::memory_order_relaxed);
-        continue;
-      }
-      ++runnable_total;
-      const int count = (ti > 0 ? 1 : 0) + (tj > 0 ? 1 : 0);
-      deps[index_of(ti, tj)].store(count, std::memory_order_relaxed);
-    }
-  }
-  if (runnable_total == 0) return;
-
-  const unsigned workers = pool_.size();
-  for (unsigned w = 0; w < workers; ++w) {
-    WorkerSlot& slot = slots_[w];
-    // In the worst case one deque holds every currently-runnable tile
-    // (bounded by one full anti-diagonal plus releases, <= total tiles).
-    slot.deque.prepare(total_slots);
-    slot.steals = 0;
-    slot.steal_attempts = 0;
-    slot.max_depth = 0;
-  }
-  FLSA_ASSERT(!(skip && skip(0, 0)));
-  slots_[0].deque.push(0);  // tile (0, 0) seeds worker 0
-
-  // Quiescence: no barrier, no lock — workers run until every runnable
-  // tile has been counted completed. A tile that throws still counts (and
-  // raises the abort flag) so the other workers cannot spin forever; the
-  // pool delivers the first exception to the caller.
-  std::atomic<std::size_t> completed{0};
-  std::atomic<bool> abort{false};
-
-  pool_.parallel_run([&](unsigned worker) {
-    WorkerSlot& self = slots_[worker];
-    unsigned spins = 0;
-    while (true) {
-      if (abort.load(std::memory_order_acquire) ||
-          completed.load(std::memory_order_acquire) == runnable_total) {
-        return;
-      }
-      std::uint32_t id = 0;
-      bool have = self.deque.pop(&id);
-      if (!have) {
-        for (unsigned i = 1; i < workers && !have; ++i) {
-          ++self.steal_attempts;
-          have = slots_[(worker + i) % workers].deque.steal(&id);
-        }
-        if (have) ++self.steals;
-      }
-      if (!have) {
-        // Out of work everywhere (for now): tiles may still be in flight
-        // on other workers; spin briefly, then yield the core.
-        if (++spins >= 64) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-        continue;
-      }
-      spins = 0;
-
-      const std::size_t ti = id / tile_cols;
-      const std::size_t tj = id % tile_cols;
-      try {
-        run_tile(work, ti, tj, worker, phase, tag);
-      } catch (...) {
-        abort.store(true, std::memory_order_release);
-        completed.fetch_add(1, std::memory_order_release);
-        throw;  // the pool records the first error per generation
-      }
-
-      // Release neighbours onto *this* worker's deque: down first, then
-      // right, so the owner's LIFO pop continues with the right-hand
-      // neighbour (whose shared boundary line it just wrote — still
-      // cache-hot) while thieves FIFO-steal the down neighbour, spreading
-      // the wavefront across workers.
-      auto release = [&](std::size_t ri, std::size_t rj) {
-        std::atomic<int>& d = deps[index_of(ri, rj)];
-        if (d.load(std::memory_order_relaxed) < 0) return;  // skipped
-        if (d.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          self.deque.push(static_cast<std::uint32_t>(index_of(ri, rj)));
-        }
-      };
-      if (ti + 1 < tile_rows) release(ti + 1, tj);
-      if (tj + 1 < tile_cols) release(ti, tj + 1);
-      self.max_depth = std::max(self.max_depth, self.deque.depth_hint());
-      completed.fetch_add(1, std::memory_order_release);
-    }
-  });
-
-  if (!abort.load(std::memory_order_relaxed)) {
-    FLSA_ASSERT(completed.load(std::memory_order_relaxed) ==
-                runnable_total);
-  }
-
-  std::uint64_t steals = 0;
-  std::uint64_t attempts = 0;
-  std::int64_t max_depth = 0;
-  for (unsigned w = 0; w < workers; ++w) {
-    steals += slots_[w].steals;
-    attempts += slots_[w].steal_attempts;
-    max_depth = std::max(max_depth, slots_[w].max_depth);
-  }
-  FLSA_OBS_COUNT("wavefront.steals", steals);
-  FLSA_OBS_COUNT("wavefront.steal_attempts", attempts);
-  FLSA_OBS_OBSERVE("wavefront.deque_depth_max",
-                   static_cast<double>(max_depth));
 }
 
 }  // namespace flsa

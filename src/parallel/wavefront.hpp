@@ -2,7 +2,7 @@
 // Parallel FastLSA's Fill Grid Cache and Base Case phases.
 //
 // Tiles on the same anti-diagonal are independent (the paper's "wavefront
-// lines"); three policies realize this:
+// lines"); two policies realize this:
 //   kBarrierStaged      — the paper's formulation: process one wavefront
 //                         line at a time, with a barrier between lines.
 //   kDependencyCounter  — each tile becomes runnable as soon as its up and
@@ -11,26 +11,15 @@
 //                         ragged diagonals and uneven tile costs overlap
 //                         across lines, but every hand-off contends on the
 //                         one lock.
-//   kWorkStealing       — dependency-driven like kDependencyCounter, but
-//                         each worker owns a Chase–Lev-style deque
-//                         (parallel/steal_deque.hpp): finishing a tile
-//                         pushes its newly-runnable down/right neighbours
-//                         onto the finishing worker's own deque (locality —
-//                         the shared boundary line is still in that
-//                         worker's cache), idle workers steal from victims
-//                         round-robin, and quiescence is a shared completed
-//                         counter rather than any barrier or lock.
-//                         Ablation E11 compares the three.
+//                         Ablation E11 compares the two.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "core/tile_executor.hpp"
-#include "parallel/steal_deque.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace flsa {
@@ -38,13 +27,12 @@ namespace flsa {
 enum class SchedulerKind : std::uint8_t {
   kBarrierStaged,
   kDependencyCounter,
-  kWorkStealing,
 };
 
 const char* to_string(SchedulerKind kind);
 
 /// Parses a CLI scheduler name. Accepts the full to_string() names plus
-/// the short forms "barrier", "dependency" and "stealing". Returns false
+/// the short forms "barrier" and "dependency". Returns false
 /// (leaving *out untouched) on anything else.
 bool parse_scheduler_kind(std::string_view name, SchedulerKind* out);
 
@@ -55,13 +43,13 @@ bool parse_scheduler_kind(std::string_view name, SchedulerKind* out);
 /// (i, j+1) within the grid) — true of FastLSA's bottom-right sub-problem
 /// skip — so a runnable tile never waits on a skipped one.
 ///
-/// The executor owns per-worker deques and the dependency-counter array
-/// and reuses them across run() calls (grow-only), so FastLSA's many fill
-/// and base-case phases do not re-allocate scheduler state.
+/// The executor owns the dependency-counter array and reuses it across
+/// run() calls (grow-only), so FastLSA's many fill and base-case phases do
+/// not re-allocate scheduler state.
 class WavefrontExecutor final : public TileExecutor {
  public:
   WavefrontExecutor(ThreadPool& pool, SchedulerKind kind)
-      : pool_(pool), kind_(kind), slots_(pool.size()) {}
+      : pool_(pool), kind_(kind) {}
 
   unsigned worker_count() const override { return pool_.size(); }
   SchedulerKind kind() const { return kind_; }
@@ -70,30 +58,17 @@ class WavefrontExecutor final : public TileExecutor {
            TileWorkFn work, TilePhase phase) override;
 
  private:
-  /// One worker's scheduling state, cache-line separated so a worker's
-  /// deque top/bottom traffic does not false-share with its neighbours'.
-  struct alignas(64) WorkerSlot {
-    StealDeque deque;
-    // Owner-written statistics, harvested after each run.
-    std::uint64_t steals = 0;          ///< successful steals by this worker
-    std::uint64_t steal_attempts = 0;  ///< victim probes by this worker
-    std::int64_t max_depth = 0;        ///< deepest own-deque depth observed
-  };
-
   void run_barrier(std::size_t tile_rows, std::size_t tile_cols,
                    TileSkipFn skip, TileWorkFn work, TilePhase phase);
   void run_dependency(std::size_t tile_rows, std::size_t tile_cols,
                       TileSkipFn skip, TileWorkFn work, TilePhase phase);
-  void run_work_stealing(std::size_t tile_rows, std::size_t tile_cols,
-                         TileSkipFn skip, TileWorkFn work, TilePhase phase);
 
-  /// Grow-only dependency-counter array shared by the dependency and
-  /// work-stealing policies; contents are re-initialized per run.
+  /// Grow-only dependency-counter array of the dependency policy;
+  /// contents are re-initialized per run.
   std::atomic<int>* ensure_deps(std::size_t count);
 
   ThreadPool& pool_;
   SchedulerKind kind_;
-  std::vector<WorkerSlot> slots_;  ///< sized once; WorkerSlot is immovable
   std::unique_ptr<std::atomic<int>[]> deps_;
   std::size_t deps_capacity_ = 0;
 };

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -47,6 +46,9 @@ using service::StatsResponse;
 using service::TransportError;
 
 namespace {
+
+/// Period of the deadline monitor (monitor_loop), ms.
+constexpr std::uint32_t kMonitorTickMs = 5;
 
 std::uint64_t response_id(const Response& response) {
   return std::visit([](const auto& r) { return r.request_id; }, response);
@@ -149,25 +151,21 @@ struct Router::PendingOp {
   std::shared_ptr<ClientConn> client;
   std::uint64_t client_id = 0;
   /// The decoded request with every request_id rewritten to `id`; kept so
-  /// failovers and hedges can re-encode with a fresh deadline budget.
+  /// failovers can re-encode with a fresh deadline budget.
   Request request;
   std::chrono::steady_clock::time_point arrival;
   std::uint32_t deadline_ms = 0;  ///< original client budget (0 = none)
   std::uint64_t cells = 0;
   unsigned attempts = 0;  ///< sends so far
-  bool hedged = false;
-  bool batched = false;    ///< currently riding inside a batch envelope
-  bool hedgeable = false;  ///< single ALIGN / SEARCH
+  bool batched = false;  ///< currently riding inside a batch envelope
   /// SEQ_* / ALIGN_REF: the op is welded to its one eligible backend —
-  /// no failover, no hedge (session state / a possibly-started response
-  /// stream lives there; a second send could duplicate either).
+  /// no failover (session state / a possibly-started response stream
+  /// lives there; a second send could duplicate either).
   bool pinned = false;
   /// Channel restriction for the send (-1 = any): upload chunks of one
   /// session stay on one channel so the backend sees them in order.
   int channel_pin = -1;
-  int first_backend = -1;
   int last_backend = -1;
-  std::chrono::steady_clock::time_point last_sent;
   /// Backends allowed to serve this op (empty = any): SEARCH replicas,
   /// or the single REF_PUT target.
   std::vector<std::size_t> eligible;
@@ -190,9 +188,6 @@ Router::Router(RouterConfig config)
           obs::metrics().counter("router.bad_requests"),
           obs::metrics().counter("router.internal_errors"),
           obs::metrics().counter("router.failovers"),
-          obs::metrics().counter("router.hedge.issued"),
-          obs::metrics().counter("router.hedge.won"),
-          obs::metrics().counter("router.hedge.wasted"),
           obs::metrics().counter("router.coalesce.batches"),
           obs::metrics().counter("router.coalesce.jobs"),
           obs::metrics().counter("router.backend.ejected"),
@@ -230,16 +225,6 @@ std::int64_t Router::remaining_deadline_ms(
   const std::int64_t remaining =
       static_cast<std::int64_t>(deadline_ms) - elapsed;
   return remaining > 0 ? remaining : 0;
-}
-
-std::uint32_t Router::hedge_threshold_ms() const {
-  if (!config_.hedge_enabled) return 0;
-  const obs::Histogram::Snapshot snap = instruments_.latency_seconds.snapshot();
-  if (snap.count < config_.hedge_min_samples) return 0;
-  const double p95_ms = instruments_.latency_seconds.quantile(0.95) * 1000.0;
-  const auto rounded = static_cast<std::uint32_t>(std::lround(
-      std::min(p95_ms, 1e9)));
-  return std::max(config_.hedge_min_ms, rounded);
 }
 
 void Router::start() {
@@ -507,6 +492,14 @@ void Router::client_loop(std::shared_ptr<ClientConn> conn) {
     } catch (const TransportError&) {
       kill_connection(conn);
       break;
+    } catch (const ProtocolError& e) {
+      // A length prefix over max_frame_bytes: answer it, as the daemon
+      // does, rather than hanging up without a word; the unread payload
+      // makes the rest of the stream unusable.
+      instruments_.bad_requests.add();
+      reject(conn, 0, ErrorCode::kBadRequest, e.what());
+      kill_connection(conn);
+      break;
     } catch (const std::exception&) {
       break;
     }
@@ -550,12 +543,10 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
   if (auto* align = std::get_if<AlignRequest>(&request)) {
     op->deadline_ms = align->deadline_ms;
     op->cells = service::estimated_cells(*align);
-    op->hedgeable = true;
     align->request_id = op->id;
   } else if (auto* search = std::get_if<SearchRequest>(&request)) {
     op->deadline_ms = search->deadline_ms;
     op->cells = service::estimated_cells(*search);
-    op->hedgeable = true;
     search->request_id = op->id;
     {
       std::lock_guard<std::mutex> lock(refs_mutex_);
@@ -690,7 +681,7 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
     }
   } else {
     // A client-built ALIGN_BATCH passes through as one unit: routed
-    // least-loaded, never re-coalesced, never hedged.
+    // least-loaded, never re-coalesced.
     auto& batch = std::get<AlignBatchRequest>(request);
     op->cells = service::estimated_cells(batch);
     batch.request_id = op->id;
@@ -724,7 +715,7 @@ void Router::route_ref_put(const std::shared_ptr<ClientConn>& conn,
 
   // One sub-op per replica. REF_PUT is not idempotent (each send would
   // register a fresh id), so sub-ops are pinned to their backend and
-  // never failed over or hedged; a failed replica just degrades the
+  // never failed over; a failed replica just degrades the
   // replication factor, which the aggregate tolerates as long as one
   // placement succeeded.
   for (const std::size_t backend : replicas) {
@@ -899,19 +890,13 @@ void Router::flusher_loop(std::size_t backend_index) {
           continue;
         }
         op.attempts += 1;
-        op.last_sent = now;
         op.last_backend = static_cast<int>(backend_index);
-        if (op.first_backend < 0) {
-          op.first_backend = static_cast<int>(backend_index);
-        }
-        forwarded_count_.fetch_add(1, std::memory_order_relaxed);
         instruments_.forwarded.add();
 
         if (auto* align = std::get_if<AlignRequest>(&op.request)) {
           AlignRequest job = *align;
           if (budget > 0) job.deadline_ms = static_cast<std::uint32_t>(budget);
           const bool coalescible = config_.coalesce_max_jobs > 1 &&
-                                   !op.hedged &&
                                    op.cells <= config_.coalesce_max_cells;
           if (coalescible) {
             op.batched = true;
@@ -1259,7 +1244,7 @@ void Router::fail_over(std::uint64_t id, const std::string& why) {
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     const auto it = pending_.find(id);
-    if (it == pending_.end()) return;  // hedge winner already answered
+    if (it == pending_.end()) return;  // already answered
     PendingOp& op = *it->second;
     // REF_PUT sub-ops never retarget: the send may have executed, and a
     // second send would register a second reference id. Pinned ops
@@ -1295,7 +1280,7 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     const auto it = pending_.find(id);
-    if (it == pending_.end()) return;  // hedge loser / late duplicate
+    if (it == pending_.end()) return;  // late duplicate
     op = it->second;
     // A retryable typed error (OVERLOADED, SHUTTING_DOWN, CONNECTION_
     // LIMIT) from a backend means the job was never executed there —
@@ -1353,13 +1338,6 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
       instruments_.upload_placements.set(
           static_cast<double>(upload_routes_.size()));
       ok->ref_id = router_ref_id;
-    }
-  }
-  if (op->hedged && from_backend >= 0) {
-    if (from_backend == op->first_backend) {
-      instruments_.hedges_wasted.add();
-    } else {
-      instruments_.hedges_won.add();
     }
   }
   if (from_backend >= 0) {
@@ -1557,68 +1535,34 @@ void Router::prober_loop() {
   }
 }
 
-// ---- Hedge / deadline monitor ------------------------------------------
+// ---- Deadline monitor --------------------------------------------------
 
 void Router::monitor_loop() {
   auto last_route_sweep = std::chrono::steady_clock::now();
-  while (interruptible_sleep(config_.hedge_tick_ms, draining_)) {
+  while (interruptible_sleep(kMonitorTickMs, draining_)) {
     const auto now = std::chrono::steady_clock::now();
     // Abandoned-upload sweep: a few times per TTL is prompt enough, and
-    // keeps the map walk off the hot hedge tick.
+    // keeps the map walk off the deadline tick.
     if (config_.upload_route_ttl_ms != 0 &&
         millis_between(last_route_sweep, now) >=
             std::max<std::uint64_t>(1, config_.upload_route_ttl_ms / 4)) {
       last_route_sweep = now;
       sweep_upload_routes(now);
     }
-    const std::uint32_t threshold = hedge_threshold_ms();
     std::vector<std::uint64_t> expired;
-    std::vector<std::pair<std::uint64_t, int>> hedges;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       for (const auto& [id, op] : pending_) {
         if (op->deadline_ms != 0 &&
             remaining_deadline_ms(op->deadline_ms, op->arrival, now) == 0) {
           expired.push_back(id);
-          continue;
         }
-        if (threshold == 0 || !op->hedgeable || op->hedged || op->batched ||
-            op->attempts == 0) {
-          continue;
-        }
-        if (millis_between(op->last_sent, now) < threshold) continue;
-        // Budget: the hedged fraction of forwarded traffic stays under
-        // hedge_budget_percent (with a burst allowance of one), exactly
-        // the retry-budget discipline — an overloaded fleet slows down,
-        // p95 rises, and the budget stops hedges from piling on.
-        const std::uint64_t forwarded =
-            forwarded_count_.load(std::memory_order_relaxed);
-        const std::uint64_t hedged =
-            hedge_count_.load(std::memory_order_relaxed);
-        if (hedged * 100 >=
-            static_cast<std::uint64_t>(config_.hedge_budget_percent) *
-                    forwarded +
-                100) {
-          continue;
-        }
-        const int target = pick_backend(op->eligible, op->last_backend);
-        if (target < 0) continue;
-        op->hedged = true;
-        hedge_count_.fetch_add(1, std::memory_order_relaxed);
-        hedges.emplace_back(id, target);
       }
     }
     for (const std::uint64_t id : expired) {
       instruments_.rejected_deadline.add();
       complete_error(id, ErrorCode::kDeadlineExceeded,
                      "deadline expired while waiting for a backend");
-    }
-    for (const auto& [id, target] : hedges) {
-      instruments_.hedges_issued.add();
-      // Push failure leaves the op pending; the original send, a later
-      // failover, or the deadline sweep still resolves it.
-      (void)backends_[static_cast<std::size_t>(target)]->outbound.try_push(
-          id);
     }
   }
 }

@@ -16,9 +16,8 @@
 //   health prober        polls every backend with STATS; ejects/readmits
 //                        and feeds queue-depth/in-flight gauges into
 //                        least-loaded routing
-//   hedge monitor        re-issues slow singles to a second replica after
-//                        a p95-tracked threshold, bounded by a hedge
-//                        budget; also expires ops whose deadline is gone
+//   deadline monitor     expires ops whose deadline is gone and sweeps
+//                        abandoned upload routes
 //
 // Routing
 // -------
@@ -32,12 +31,12 @@
 //                replication is accepted and counted)
 //   SEQ_*        pinned to one rendezvous-chosen backend per upload token
 //                (chunks of a session must land on one store, in order:
-//                the frames also stick to one channel), never hedged,
-//                coalesced, or failed over; the SEQ_END answer's backend-
+//                the frames also stick to one channel), never
+//                coalesced or failed over; the SEQ_END answer's backend-
 //                local ref id is rewritten to a fresh router id
 //   ALIGN_REF    eligible backends are those holding *both* referenced
 //                handles (intersection of their placements); ref ids are
-//                rewritten per backend; never hedged or coalesced, and
+//                rewritten per backend; never coalesced, and
 //                never failed over (the response may already be streaming
 //                in ALIGN_PART frames — non-last parts are forwarded to
 //                the client as they arrive, the last one completes the op)
@@ -104,20 +103,6 @@ struct RouterConfig {
   /// Only ALIGNs at most this many DPM cells are coalesced — a big job
   /// gains nothing from amortization and would delay its batch mates.
   std::uint64_t coalesce_max_cells = std::uint64_t{1} << 20;
-
-  // ---- Hedging ---------------------------------------------------------
-  bool hedge_enabled = true;
-  /// Floor of the hedge threshold, ms.
-  std::uint32_t hedge_min_ms = 20;
-  /// Completed ops needed before the p95 estimate is trusted; until then
-  /// no hedges are issued.
-  std::uint64_t hedge_min_samples = 50;
-  /// Hedge monitor tick, ms.
-  std::uint32_t hedge_tick_ms = 5;
-  /// Budget: hedges issued may not exceed this percentage of forwarded
-  /// ops (plus a burst of 1) — the retry-budget discipline applied to
-  /// hedging, so hedges cannot melt an overloaded fleet.
-  std::uint32_t hedge_budget_percent = 10;
 
   // ---- Failover / health ----------------------------------------------
   /// Total sends per op (first try + failovers).
@@ -213,8 +198,8 @@ class Router {
   void fail_over(std::uint64_t id, const std::string& why);
 
   /// Completes op `id` with a backend response (or drops it when the op
-  /// is no longer pending — a hedge loser). `from_backend` attributes
-  /// hedge wins/waste; -1 for locally generated completions.
+  /// is no longer pending — a late duplicate). `from_backend` is the
+  /// answering backend; -1 for locally generated completions.
   void complete(std::uint64_t id, service::Response response,
                 int from_backend);
   /// Local typed completion (deadline gone, no healthy backend, ...).
@@ -231,10 +216,6 @@ class Router {
   void reject(const std::shared_ptr<ClientConn>& conn,
               std::uint64_t request_id, service::ErrorCode code,
               const std::string& message);
-
-  /// Current hedge threshold in ms, or 0 when hedging must not fire yet
-  /// (disabled, or not enough latency samples).
-  std::uint32_t hedge_threshold_ms() const;
 
   std::uint64_t next_op_id() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -254,9 +235,6 @@ class Router {
     obs::Counter& bad_requests;
     obs::Counter& internal_errors;
     obs::Counter& failovers;
-    obs::Counter& hedges_issued;
-    obs::Counter& hedges_won;
-    obs::Counter& hedges_wasted;
     obs::Counter& coalesced_batches;
     obs::Counter& coalesced_jobs;
     obs::Counter& backend_ejected;
@@ -282,8 +260,6 @@ class Router {
   std::atomic<bool> draining_{false};
 
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> forwarded_count_{0};
-  std::atomic<std::uint64_t> hedge_count_{0};
 
   /// Pending ops by router id. One mutex guards the map and every op's
   /// mutable fields — routing decisions are tiny compared to DP work, so

@@ -213,7 +213,10 @@ struct FlankExtension {
 /// Gapped X-drop extension over a flank rectangle. `q_at(i)` / `s_at(j)`
 /// map flank offsets to residues (reversed for a leftward flank). Rows
 /// stop once a whole row falls more than `x_drop` below the best cell —
-/// the gapped analogue of the ungapped BLAST-style cutoff.
+/// the gapped analogue of the ungapped BLAST-style cutoff. The traceback
+/// keeps 2 bits a cell, 4 cells a byte, each row starting on a byte: it
+/// spans the whole flank rectangle, and the flanks of every filled chain
+/// of a search add up.
 template <typename QAt, typename SAt>
 FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
                             SAt s_at, const ScoringScheme& scheme,
@@ -223,26 +226,31 @@ FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
   const SubstitutionMatrix& sub = scheme.matrix();
   const Score gap = scheme.gap_extend();
 
-  enum : std::uint8_t { kStop = 0, kDiag = 1, kUp = 2, kLeft = 3 };
-  std::vector<std::uint8_t> trace((nq + 1) * (ns + 1), kStop);
+  enum : unsigned { kDiag = 1, kUp = 2, kLeft = 3 };
+  const std::size_t stride = ns / 4 + 1;  // bytes per row of ns + 1 cells
+  std::vector<std::uint8_t> trace((nq + 1) * stride);
+  const auto dir_at = [&](std::size_t i, std::size_t j) {
+    return (trace[i * stride + j / 4] >> (j % 4 * 2)) & 3u;
+  };
   std::vector<Score> prev(ns + 1), cur(ns + 1);
   for (std::size_t j = 1; j <= ns; ++j) {
     prev[j] = prev[j - 1] + gap;
-    trace[j] = kLeft;
+    trace[j / 4] =
+        static_cast<std::uint8_t>(trace[j / 4] | kLeft << (j % 4 * 2));
   }
   Score best = 0;
   std::size_t best_i = 0, best_j = 0;
   for (std::size_t i = 1; i <= nq; ++i) {
-    std::uint8_t* row = trace.data() + i * (ns + 1);
+    std::uint8_t* row = trace.data() + i * stride;
     cur[0] = prev[0] + gap;
-    row[0] = kUp;
+    unsigned packed = kUp;  // directions of the cells j & ~3 .. j
     Score row_best = cur[0];
     for (std::size_t j = 1; j <= ns; ++j) {
       const Score diag = prev[j - 1] + sub.at(q_at(i - 1), s_at(j - 1));
       const Score up = prev[j] + gap;
       const Score left = cur[j - 1] + gap;
       Score value = diag;
-      std::uint8_t dir = kDiag;
+      unsigned dir = kDiag;
       if (up > value) {
         value = up;
         dir = kUp;
@@ -252,7 +260,11 @@ FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
         dir = kLeft;
       }
       cur[j] = value;
-      row[j] = dir;
+      packed |= dir << (j % 4 * 2);
+      if (j % 4 == 3) {
+        row[j / 4] = static_cast<std::uint8_t>(packed);
+        packed = 0;
+      }
       if (value > row_best) row_best = value;
       if (value > best) {
         best = value;
@@ -260,6 +272,7 @@ FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
         best_j = j;
       }
     }
+    if (ns % 4 != 3) row[ns / 4] = static_cast<std::uint8_t>(packed);
     if (row_best < best - x_drop) break;  // gapped X-drop: give up the row
     std::swap(prev, cur);
   }
@@ -269,7 +282,7 @@ FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
   out.s_used = best_j;
   std::size_t i = best_i, j = best_j;
   while (i != 0 || j != 0) {
-    switch (trace[i * (ns + 1) + j]) {
+    switch (dir_at(i, j)) {
       case kDiag:
         out.gapped_q += alphabet.letter(q_at(i - 1));
         out.gapped_s += alphabet.letter(s_at(j - 1));

@@ -32,7 +32,6 @@
 #include "dp/alignment.hpp"
 #include "scoring/scheme.hpp"
 #include "search/reference_index.hpp"
-#include "search/seed_extend.hpp"
 
 namespace flsa {
 namespace search {
@@ -50,6 +49,11 @@ struct Anchor {
     return static_cast<std::ptrdiff_t>(s_begin) -
            static_cast<std::ptrdiff_t>(q_begin);
   }
+};
+
+/// One final gapped hit.
+struct SearchHit {
+  Alignment alignment;  ///< local alignment; regions are subject-global
 };
 
 /// Chaining parameters (stage 2).

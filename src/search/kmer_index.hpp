@@ -1,9 +1,9 @@
 // Exact k-mer index over a subject sequence.
 //
-// The first stage of seed-and-extend homology search (search/seed_extend):
-// every length-k word of the subject is hashed to its positions, so query
-// words find their exact matches in O(1). Works for any alphabet with
-// |A|^k packable into 64 bits.
+// The anchor stage of chained search (search/chain): every length-k
+// word of the subject is hashed to its positions, so query words find
+// their exact matches in O(1). Works for any alphabet with |A|^k
+// packable into 64 bits.
 //
 // The subject is held as a SequenceView, so the index reads equally from
 // an owned Sequence (shared ownership keeps it alive) or an mmap'd

@@ -4,7 +4,7 @@
 // Two policies mirror the real schedulers:
 //  - barrier-staged: wavefront lines run as synchronized stages; a stage's
 //    duration is the greedy P-processor makespan of its tiles (matching
-//    WavefrontExecutor::run_barrier's dynamic work stealing within a line);
+//    WavefrontExecutor::run_barrier's dynamic self-scheduling in a line);
 //  - dependency-counter: event-driven list scheduling where a tile starts
 //    the moment a processor is free and its up/left tiles finished.
 //

@@ -67,7 +67,7 @@ TEST(Golden, EditDistanceAndLcsStable) {
 }
 
 // The paper's Figure 1 worked example (MDM78, optimal score 82) on EVERY
-// registered kernel tier — including the saturating narrow tiers — and
+// registered kernel tier — including the saturating narrow tier — and
 // every wavefront scheduler. The registry loop means a newly added tier
 // is golden-tested automatically.
 TEST(Golden, PaperWorkedExampleOnEveryKernelTierAndScheduler) {
@@ -98,8 +98,7 @@ TEST(Golden, PaperWorkedExampleOnEveryKernelTierAndScheduler) {
     EXPECT_EQ(fl.gapped_b, fm.gapped_b) << info.name;
 
     for (SchedulerKind sched : {SchedulerKind::kBarrierStaged,
-                                SchedulerKind::kDependencyCounter,
-                                SchedulerKind::kWorkStealing}) {
+                                SchedulerKind::kDependencyCounter}) {
       ParallelOptions popts;
       popts.threads = 2;
       popts.scheduler = sched;

@@ -1,16 +1,15 @@
 // Kernel conformance suite: the hard correctness contract behind the
-// narrow saturating tiers (dp/kernel_narrow.*).
+// narrow saturating tier (dp/kernel_narrow.*).
 //
 // One parameterized differential harness runs EVERY registered KernelKind
 // over a grid of scoring schemes — including adversarial near-saturation
-// match/gap magnitudes chosen to force overflow escalation at each lane
-// width — and asserts:
+// match/gap magnitudes chosen to force overflow escalation — and asserts:
 //
 //   * bit-identical boundary rows, scores AND edit scripts against the
-//     scalar oracle (not just equal optima: the narrow tiers promise the
+//     scalar oracle (not just equal optima: the narrow tier promises the
 //     same tie-breaking, so FastLSA's traceback must come out identical),
 //   * the escalation counters fire exactly when the clamp algebra
-//     predicts (whole-call gate vs per-tile rail, int8 -> int16 -> int32),
+//     predicts (whole-call gate vs per-tile rail, int16 -> int32),
 //   * fixed-seed fuzzing over random alphabets/matrices/shapes across all
 //     tiers at several score magnitudes, so every tier sees inputs it can
 //     handle natively, inputs that rail mid-tile, and inputs its
@@ -68,11 +67,11 @@ SchemeCase identity_case(const std::string& name, const char* letters,
 
 /// The scheme grid: realistic tables plus adversarial magnitudes.
 ///  - "mdm78" / "blosum62" / "dna": the shapes real users run.
-///  - "tiny": fits even int8 with room to spare (no escalation expected).
-///  - "rail8": int8-representable scheme whose DP range overflows int8 on
-///    runs of matches (per-tile rail -> int16 rescore).
+///  - "tiny": small magnitudes with room to spare (no escalation expected).
+///  - "rail8": small magnitudes whose DP range would overflow 8-bit lanes
+///    on runs of matches; int16 holds it.
 ///  - "rail16": int16-representable scheme whose DP range overflows int16
-///    (per-tile rail -> int32 rescore; int8's gap gate rejects it whole).
+///    (per-tile rail -> int32 rescore).
 ///  - "reject16": scores outside even int16 (whole-call int32 fallback).
 std::vector<SchemeCase> scheme_grid() {
   std::vector<SchemeCase> grid;
@@ -146,7 +145,7 @@ void expect_conformant(const SchemeCase& c, const Sequence& a,
 /// Differential check of raw rectangle sweeps with explicit (possibly
 /// hostile) boundary caches — the exact call FastLSA's fill-grid phase
 /// makes. `spread` scales the random boundary values; a large spread
-/// forces the narrow tiers' boundary conversion itself to escalate.
+/// forces the narrow tier's boundary conversion itself to escalate.
 void expect_sweep_conformant(const SchemeCase& c, std::size_t m,
                              std::size_t n, Score spread, Xoshiro256& rng) {
   const Sequence a = random_sequence(*c.alpha, m, rng);
@@ -186,7 +185,7 @@ void expect_sweep_conformant(const SchemeCase& c, std::size_t m,
 // always-exact kernel (never an opt-in narrow tier).
 
 TEST(KernelRegistry, NamesRoundTripThroughParser) {
-  ASSERT_GE(kernel_registry().size(), 5u);
+  ASSERT_GE(kernel_registry().size(), 4u);
   for (const KernelInfo& info : kernel_registry()) {
     EXPECT_STREQ(to_string(info.kind), info.name);
     KernelKind parsed = KernelKind::kAuto;
@@ -205,8 +204,7 @@ TEST(KernelRegistry, AutoNeverResolvesToNarrowTier) {
               resolved == KernelKind::kSimd);
   // Explicit requests pass through unchanged.
   for (const KernelKind kind :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kInt16,
-        KernelKind::kInt8}) {
+       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kInt16}) {
     EXPECT_EQ(resolve_kernel(kind), kind);
   }
 }
@@ -225,7 +223,7 @@ TEST_P(SchemeConformance, AllKernelsMatchScalarOracle) {
     std::size_t m, n;
     bool scripts;
   };
-  // 65/96 cross the int8 tile extent (64); 17/33/41 leave band-core tail
+  // 65/96 span several vectors per row; 17/33/41 leave band-core tail
   // rows (rows % 16 != 0); 1 and 0 hit the degenerate paths.
   const Shape shapes[] = {{0, 0, false}, {0, 9, false},  {9, 0, false},
                           {1, 1, true},  {5, 33, true},  {33, 5, true},
@@ -270,20 +268,13 @@ TEST(SchemeConformance, TallRectangleCrossesInt16TileExtent) {
 // expected counts.
 
 /// 60x60 all-'A' under +3/-3: the relative DP domain climbs 3 cells/step
-/// past int8's +127 rail mid-tile, but sits far inside int16. One int8
-/// tile (60 <= tile extent 64) -> exactly one escalation; int16 clean.
-TEST(KernelEscalation, Int8RailsOnceInt16Clean) {
+/// to 180, far inside int16 -> no escalation.
+TEST(KernelEscalation, SmallSchemeMatchRunInt16Clean) {
   const SchemeCase c = identity_case("corpus8", "AC", 3, -1, -3);
   const Sequence a = uniform_seq(*c.alpha, 60);
   const Score want = global_score_linear(a.residues(), a.residues(),
                                          c.scheme);
   EXPECT_EQ(want, 180);  // 60 matches at +3
-
-  DpCounters c8;
-  EXPECT_EQ(global_score_linear(KernelKind::kInt8, a.residues(),
-                                a.residues(), c.scheme, &c8),
-            want);
-  EXPECT_EQ(c8.kernel_escalations, 1u);
 
   DpCounters c16;
   EXPECT_EQ(global_score_linear(KernelKind::kInt16, a.residues(),
@@ -294,9 +285,7 @@ TEST(KernelEscalation, Int8RailsOnceInt16Clean) {
 
 /// 600x600 all-'A' under +70/-70: the DP range (42000) overflows int16 in
 /// its single 600 <= 1024 tile -> exactly one int16->int32 escalation.
-/// int8 rejects the gap at the whole-call gate (32 * 70 > 127) and then
-/// rails the same int16 tile -> exactly two.
-TEST(KernelEscalation, Int16RailsOnceInt8GateThenRails) {
+TEST(KernelEscalation, Int16RailsOnce) {
   const SchemeCase c = identity_case("corpus16", "AC", 70, -4, -70);
   const Sequence a = uniform_seq(*c.alpha, 600);
   const Score want = global_score_linear(a.residues(), a.residues(),
@@ -308,17 +297,11 @@ TEST(KernelEscalation, Int16RailsOnceInt8GateThenRails) {
                                 a.residues(), c.scheme, &c16),
             want);
   EXPECT_EQ(c16.kernel_escalations, 1u);
-
-  DpCounters c8;
-  EXPECT_EQ(global_score_linear(KernelKind::kInt8, a.residues(),
-                                a.residues(), c.scheme, &c8),
-            want);
-  EXPECT_EQ(c8.kernel_escalations, 2u);
 }
 
 /// Scores outside int16 entirely: the profile build rejects the scheme
 /// and the whole call falls through to the int32 reference in one step
-/// per rejected tier (no per-tile attempts at all).
+/// (no per-tile attempts at all).
 TEST(KernelEscalation, SchemeOutsideInt16EscalatesWholeCall) {
   const SchemeCase c = identity_case("corpus32", "AC", 33000, -5, -8);
   const Sequence a = uniform_seq(*c.alpha, 20);
@@ -331,64 +314,43 @@ TEST(KernelEscalation, SchemeOutsideInt16EscalatesWholeCall) {
                                 a.residues(), c.scheme, &c16),
             want);
   EXPECT_EQ(c16.kernel_escalations, 1u);
-
-  DpCounters c8;
-  EXPECT_EQ(global_score_linear(KernelKind::kInt8, a.residues(),
-                                a.residues(), c.scheme, &c8),
-            want);
-  EXPECT_EQ(c8.kernel_escalations, 2u);
 }
 
-/// Benign scheme/shape combinations escalate nowhere. The headroom each
-/// tier offers differs: int16 holds a DNA-magnitude scheme over hundreds
-/// of cells, while int8's +-127 relative domain only covers a 64-extent
-/// tile when per-cell magnitudes stay near +-1.
+/// Benign scheme/shape combinations escalate nowhere: int16 holds a
+/// DNA-magnitude scheme over hundreds of cells.
 TEST(KernelEscalation, BenignSchemeNeverEscalates) {
   Xoshiro256 rng(7);
-  {
-    const SchemeCase c = identity_case("benign16", "ACGT", 5, -4, -2);
-    const Sequence a = random_sequence(*c.alpha, 120, rng);
-    const Sequence b = random_sequence(*c.alpha, 90, rng);
-    const Score want = global_score_linear(a.residues(), b.residues(),
-                                           c.scheme);
-    DpCounters counters;
-    EXPECT_EQ(global_score_linear(KernelKind::kInt16, a.residues(),
-                                  b.residues(), c.scheme, &counters),
-              want);
-    EXPECT_EQ(counters.kernel_escalations, 0u);
-  }
-  {
-    const SchemeCase c = identity_case("benign8", "ACGT", 1, -1, -1);
-    const Sequence a = random_sequence(*c.alpha, 60, rng);
-    const Sequence b = random_sequence(*c.alpha, 50, rng);
-    const Score want = global_score_linear(a.residues(), b.residues(),
-                                           c.scheme);
-    DpCounters counters;
-    EXPECT_EQ(global_score_linear(KernelKind::kInt8, a.residues(),
-                                  b.residues(), c.scheme, &counters),
-              want);
-    EXPECT_EQ(counters.kernel_escalations, 0u);
-  }
+  const SchemeCase c = identity_case("benign16", "ACGT", 5, -4, -2);
+  const Sequence a = random_sequence(*c.alpha, 120, rng);
+  const Sequence b = random_sequence(*c.alpha, 90, rng);
+  const Score want = global_score_linear(a.residues(), b.residues(),
+                                         c.scheme);
+  DpCounters counters;
+  EXPECT_EQ(global_score_linear(KernelKind::kInt16, a.residues(),
+                                b.residues(), c.scheme, &counters),
+            want);
+  EXPECT_EQ(counters.kernel_escalations, 0u);
 }
 
 /// Escalations surface through FastLsaStats and leave the traceback
-/// bit-identical: an int8 run where every match-run tile rails.
+/// bit-identical: an int16 run where every match-run tile rails (each
+/// diagonal cell climbs 2000, so a tile's span leaves int16 within 17).
 TEST(KernelEscalation, FastLsaCountsEscalationsAndStaysExact) {
-  const SchemeCase c = identity_case("fastlsa8", "AC", 120, -1, -3);
+  const SchemeCase c = identity_case("fastlsa16", "AC", 2000, -1, -3);
   const Sequence a = uniform_seq(*c.alpha, 200);
   const Alignment fm = full_matrix_align(a, a, c.scheme);
-  EXPECT_EQ(fm.score, 200 * 120);
+  EXPECT_EQ(fm.score, 200 * 2000);
 
   FastLsaOptions opts;
   opts.k = 4;
   opts.base_case_cells = 256;
-  opts.kernel = KernelKind::kInt8;
+  opts.kernel = KernelKind::kInt16;
   FastLsaStats stats;
   const Alignment fl = fastlsa_align(a, a, c.scheme, opts, &stats);
   EXPECT_EQ(fl.score, fm.score);
   EXPECT_EQ(fl.gapped_a, fm.gapped_a);
   EXPECT_EQ(fl.gapped_b, fm.gapped_b);
-  EXPECT_EQ(stats.kernel_used, KernelKind::kInt8);
+  EXPECT_EQ(stats.kernel_used, KernelKind::kInt16);
   EXPECT_GT(stats.counters.kernel_escalations, 0u);
 }
 
@@ -399,12 +361,12 @@ TEST(KernelEscalation, ObsMetricMirrorsCounter) {
 #if defined(FLSA_OBS_OFF)
   GTEST_SKIP() << "observability compiled out (-DFLSA_OBS=OFF)";
 #else
-  const SchemeCase c = identity_case("obs8", "AC", 3, -1, -3);
-  const Sequence a = uniform_seq(*c.alpha, 60);
+  const SchemeCase c = identity_case("obs16", "AC", 70, -4, -70);
+  const Sequence a = uniform_seq(*c.alpha, 600);
   obs::set_enabled(true);
   obs::metrics().reset();
   DpCounters counters;
-  global_score_linear(KernelKind::kInt8, a.residues(), a.residues(),
+  global_score_linear(KernelKind::kInt16, a.residues(), a.residues(),
                       c.scheme, &counters);
   obs::set_enabled(false);
   EXPECT_EQ(counters.kernel_escalations, 1u);
@@ -444,8 +406,8 @@ class NarrowFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(NarrowFuzz, AllTiersBitIdenticalAtEveryMagnitude) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 2862933555u + 29);
-  // x1: everything fits int8. x7: int8 rails on runs. x300: int8 profile
-  // rejected, int16 rails sometimes. x5000: int16 rails routinely.
+  // x1 and x7: int16 holds everything. x300: int16 rails sometimes.
+  // x5000: int16 rails routinely.
   const Score scales[] = {1, 7, 300, 5000};
   for (const Score scale : scales) {
     static const char* kLetterSets[] = {"AB", "ACGT", "ABCDEFGH"};

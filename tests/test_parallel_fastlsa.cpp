@@ -58,8 +58,7 @@ TEST(ParallelFastLsa, AllSchedulersAgree) {
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   const Score expected = full_matrix_score(pair.a, pair.b, scheme);
   for (SchedulerKind kind : {SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter,
-                             SchedulerKind::kWorkStealing}) {
+                             SchedulerKind::kDependencyCounter}) {
     ParallelOptions parallel;
     parallel.threads = 4;
     parallel.scheduler = kind;
@@ -72,8 +71,8 @@ TEST(ParallelFastLsa, AllSchedulersAgree) {
 }
 
 TEST(ParallelFastLsa, SchedulersProduceIdenticalAlignments) {
-  // Bit-identical alignments (not just scores) across all three policies
-  // and against the sequential reference.
+  // Bit-identical alignments (not just scores) across both policies and
+  // against the sequential reference.
   Xoshiro256 rng(117);
   MutationModel model;
   const SequencePair pair =
@@ -81,8 +80,7 @@ TEST(ParallelFastLsa, SchedulersProduceIdenticalAlignments) {
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   const Alignment seq = fastlsa_align(pair.a, pair.b, scheme, opts(4, 256));
   for (SchedulerKind kind : {SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter,
-                             SchedulerKind::kWorkStealing}) {
+                             SchedulerKind::kDependencyCounter}) {
     ParallelOptions parallel;
     parallel.threads = 4;
     parallel.scheduler = kind;
@@ -92,25 +90,6 @@ TEST(ParallelFastLsa, SchedulersProduceIdenticalAlignments) {
     EXPECT_EQ(par.gapped_a, seq.gapped_a) << to_string(kind);
     EXPECT_EQ(par.gapped_b, seq.gapped_b) << to_string(kind);
   }
-}
-
-TEST(ParallelFastLsa, WorkStealingAffineMatchesGotoh) {
-  Xoshiro256 rng(118);
-  MutationModel model;
-  model.extension_prob = 0.7;
-  const SequencePair pair =
-      homologous_pair(Alphabet::dna(), 240, model, rng);
-  const SubstitutionMatrix m = scoring::dna(5, -4);
-  const ScoringScheme scheme(m, -8, -2);
-  const Score expected =
-      global_score_affine(pair.a.residues(), pair.b.residues(), scheme);
-  ParallelOptions parallel;
-  parallel.threads = 4;
-  parallel.scheduler = SchedulerKind::kWorkStealing;
-  const Alignment aln = parallel_fastlsa_align_affine(
-      pair.a, pair.b, scheme, opts(3, 128), parallel);
-  EXPECT_EQ(aln.score, expected);
-  EXPECT_EQ(score_alignment(aln, scheme, Alphabet::dna()), aln.score);
 }
 
 TEST(ParallelFastLsa, WorkspaceReuseAcrossRunsStaysCorrect) {
@@ -131,7 +110,7 @@ TEST(ParallelFastLsa, WorkspaceReuseAcrossRunsStaysCorrect) {
     EXPECT_EQ(fastlsa_align(a, b, scheme, o).score, expected);
     ParallelOptions parallel;
     parallel.threads = 3;
-    parallel.scheduler = trial % 2 == 0 ? SchedulerKind::kWorkStealing
+    parallel.scheduler = trial % 2 == 0 ? SchedulerKind::kBarrierStaged
                                         : SchedulerKind::kDependencyCounter;
     EXPECT_EQ(parallel_fastlsa_align(a, b, scheme, o, parallel).score,
               expected);

@@ -6,6 +6,12 @@
 // bit-identical to direct align() or a typed error, never a hang.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -383,9 +389,46 @@ TEST(Router, BackendDeathIsAbsorbedByFailoverAndEjection) {
   }
 }
 
+TEST(Router, OversizedFrameHeaderAnswersBadRequestOverRawSocket) {
+  // Same contract as the daemon: a length prefix over max_frame_bytes is
+  // answered BAD_REQUEST (id 0) and counted, then the client is closed.
+  RouterConfig config;
+  config.max_frame_bytes = 4096;
+  Fleet fleet(1, config);
+  const std::uint64_t bad_before = counter("router.bad_requests");
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fleet.router->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const timeval timeout{5, 0};  // a missing answer fails, not hangs
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  const std::string header =
+      service::frame_bytes(std::string(8192, 'x')).substr(0, 4);
+  ASSERT_TRUE(service::write_all(fd, header));
+  std::string payload;
+  ASSERT_TRUE(service::read_frame(fd, &payload))
+      << "the router hung up without an answer";
+  const Response response = service::decode_response(payload);
+  const auto* error = std::get_if<ErrorResponse>(&response);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, ErrorCode::kBadRequest);
+  EXPECT_EQ(error->request_id, 0u);
+  EXPECT_FALSE(service::read_frame(fd, &payload));  // then it hangs up
+  EXPECT_EQ(counter("router.bad_requests"), bad_before + 1);
+  ::close(fd);
+}
+
 TEST(Router, ExpiredDeadlineIsAnsweredLocallyNotByTheBackend) {
   RouterConfig config;
-  config.hedge_enabled = false;  // a hedge would just duplicate the wait
   ServiceConfig slow;
   slow.fault_plan = service::parse_fault_plan("seed=5,delay=1:400");
   Fleet fleet(1, config, slow);

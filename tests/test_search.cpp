@@ -1,21 +1,13 @@
-// Tests for the k-mer index and the seed-and-extend search pipeline.
+// Tests for the k-mer index behind chained search.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "dp/alignment.hpp"
-#include "dp/local.hpp"
-#include "scoring/builtin.hpp"
-#include "search/seed_extend.hpp"
+#include "search/kmer_index.hpp"
 #include "sequence/generate.hpp"
 
 namespace flsa {
 namespace {
-
-ScoringScheme scheme() {
-  static const SubstitutionMatrix m = scoring::dna(5, -4);
-  return ScoringScheme(m, -6);
-}
 
 TEST(KmerIndex, FindsEveryOccurrence) {
   const Sequence subject(Alphabet::dna(), "ACGTACGTAACGT");
@@ -89,202 +81,6 @@ TEST(KmerIndex, SubjectsPastUint32PositionsAreATypedError) {
     EXPECT_EQ(e.residues(), kLimit + 1);
     EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos);
   }
-}
-
-TEST(XDrop, ExtendsThroughMatchesStopsAtNoise) {
-  // Seed inside a 20-bp identical block flanked by mismatching context.
-  Xoshiro256 rng(263);
-  const Sequence core = random_sequence(Alphabet::dna(), 20, rng);
-  const Sequence query(Alphabet::dna(), "TTTTTTTT" + core.to_string() +
-                                            "GGGGGGGG");
-  const Sequence subject(Alphabet::dna(), "CCCCCCCC" + core.to_string() +
-                                              "AAAAAAAA");
-  // Seed at the middle of the core (offset 8 in both).
-  const search::UngappedHit hit = search::xdrop_extend(
-      query, 14, subject, 14, 6, scheme(), /*x_drop=*/10);
-  EXPECT_EQ(hit.q_begin, 8u);
-  EXPECT_EQ(hit.q_end, 28u);
-  EXPECT_EQ(hit.s_begin, 8u);
-  EXPECT_EQ(hit.score, 20 * 5 - /*at most two noise steps*/ 0);
-}
-
-TEST(XDrop, ScoreNeverBelowSeedScore) {
-  Xoshiro256 rng(264);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Sequence q = random_sequence(Alphabet::dna(), 60, rng);
-    const Sequence s = random_sequence(Alphabet::dna(), 60, rng);
-    const std::size_t qp = rng.bounded(50);
-    const std::size_t sp = rng.bounded(50);
-    const search::UngappedHit hit =
-        search::xdrop_extend(q, qp, s, sp, 8, scheme(), 15);
-    Score seed_score = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      seed_score += scheme().substitution(q[qp + i], s[sp + i]);
-    }
-    EXPECT_GE(hit.score, seed_score);
-    EXPECT_LE(hit.q_begin, qp);
-    EXPECT_GE(hit.q_end, qp + 8);
-  }
-}
-
-TEST(SeedExtend, FindsPlantedGene) {
-  Xoshiro256 rng(265);
-  const Sequence gene = random_sequence(Alphabet::dna(), 120, rng);
-  MutationModel light;
-  light.substitution_rate = 0.04;
-  const Sequence mutated = mutate(gene, light, rng);
-  const Sequence subject(
-      Alphabet::dna(),
-      random_sequence(Alphabet::dna(), 2000, rng).to_string() +
-          mutated.to_string() +
-          random_sequence(Alphabet::dna(), 1500, rng).to_string());
-  const search::KmerIndex index(subject, 8);
-  const auto hits = search::seed_and_extend(gene, index, scheme());
-  ASSERT_FALSE(hits.empty());
-  const Alignment& best = hits[0].alignment;
-  // The top hit covers the planted region (2000 .. 2000 + |mutated|).
-  EXPECT_GE(best.b_end, 2000u);
-  EXPECT_LE(best.b_begin, 2000u + mutated.size());
-  EXPECT_GT(best.score, 400);
-  EXPECT_GT(best.identity(), 0.85);
-}
-
-TEST(SeedExtend, NoHitsInUnrelatedSequences) {
-  Xoshiro256 rng(266);
-  const Sequence query = random_sequence(Alphabet::dna(), 100, rng);
-  const Sequence subject = random_sequence(Alphabet::dna(), 3000, rng);
-  const search::KmerIndex index(subject, 10);  // long seeds: chance ~0
-  search::SearchParams params;
-  params.k = 10;
-  params.min_ungapped_score = 60;
-  const auto hits = search::seed_and_extend(query, index, scheme(), params);
-  EXPECT_TRUE(hits.empty());
-}
-
-TEST(SeedExtend, MultipleCopiesReportedSeparately) {
-  Xoshiro256 rng(267);
-  const Sequence motif = random_sequence(Alphabet::dna(), 80, rng);
-  const Sequence spacer1 = random_sequence(Alphabet::dna(), 700, rng);
-  const Sequence spacer2 = random_sequence(Alphabet::dna(), 600, rng);
-  const Sequence subject(Alphabet::dna(),
-                         spacer1.to_string() + motif.to_string() +
-                             spacer2.to_string() + motif.to_string());
-  const search::KmerIndex index(subject, 8);
-  const auto hits = search::seed_and_extend(motif, index, scheme());
-  ASSERT_GE(hits.size(), 2u);
-  // Two disjoint subject regions, both near-perfect.
-  EXPECT_TRUE(hits[0].alignment.b_end <= hits[1].alignment.b_begin ||
-              hits[1].alignment.b_end <= hits[0].alignment.b_begin);
-  EXPECT_GT(hits[1].alignment.identity(), 0.95);
-}
-
-TEST(SeedExtend, HitScoreMatchesLocalAlignmentOfRegion) {
-  Xoshiro256 rng(268);
-  const Sequence gene = random_sequence(Alphabet::dna(), 60, rng);
-  const Sequence subject(
-      Alphabet::dna(),
-      random_sequence(Alphabet::dna(), 400, rng).to_string() +
-          gene.to_string() +
-          random_sequence(Alphabet::dna(), 300, rng).to_string());
-  const search::KmerIndex index(subject, 8);
-  const auto hits = search::seed_and_extend(gene, index, scheme());
-  ASSERT_FALSE(hits.empty());
-  // Full Smith-Waterman over the whole subject agrees with the pipeline's
-  // best score (the planted copy is the global optimum).
-  EXPECT_EQ(hits[0].alignment.score,
-            local_align_full_matrix(gene, subject, scheme()).score);
-}
-
-TEST(SeedExtend, OverlappingRealignedWindowsAreDeduplicatedOnFinalExtent) {
-  // Regression: stage 3 must deduplicate on where the *gapped* alignment
-  // actually landed, not on the ungapped candidate extent. Construction:
-  // the subject carries the full motif M and, 20 bp later, a copy of
-  // M's suffix. The suffix candidate's ungapped extent is disjoint from
-  // the reported M hit, but its padded window still contains M's tail —
-  // where its local alignment scores higher and lands. Dedup on the
-  // candidate extent reports both, i.e. two overlapping hits.
-  Xoshiro256 rng(271);
-  const Sequence motif = random_sequence(Alphabet::dna(), 120, rng);
-  const Sequence suffix = motif.subsequence(60, 60);
-  const Sequence subject(
-      Alphabet::dna(),
-      random_sequence(Alphabet::dna(), 500, rng).to_string() +
-          motif.to_string() +
-          random_sequence(Alphabet::dna(), 20, rng).to_string() +
-          suffix.to_string() +
-          random_sequence(Alphabet::dna(), 400, rng).to_string());
-  const search::KmerIndex index(subject, 8);
-  const auto hits = search::seed_and_extend(motif, index, scheme());
-  ASSERT_FALSE(hits.empty());
-  // The top hit is the planted full motif.
-  EXPECT_LE(hits[0].alignment.b_begin, 500u);
-  EXPECT_GE(hits[0].alignment.b_end, 620u);
-  // The regression property: reported subject extents never overlap.
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    for (std::size_t j = i + 1; j < hits.size(); ++j) {
-      const Alignment& a = hits[i].alignment;
-      const Alignment& b = hits[j].alignment;
-      EXPECT_TRUE(a.b_end <= b.b_begin || b.b_end <= a.b_begin)
-          << "hits " << i << " [" << a.b_begin << "," << a.b_end
-          << ") and " << j << " [" << b.b_begin << "," << b.b_end
-          << ") overlap in the subject";
-    }
-  }
-}
-
-TEST(SeedExtend, PropertySweepHitsAreSortedDisjointAndBoundedBySw) {
-  // Fixed-seed sweep over mutated pairs: reported hits are sorted by
-  // score, pairwise disjoint in the subject, self-consistent (the score
-  // matches the emitted gapped rows), and never beat the full
-  // Smith-Waterman optimum over the whole subject.
-  Xoshiro256 rng(272);
-  for (std::size_t trial = 0; trial < 6; ++trial) {
-    const Sequence gene =
-        random_sequence(Alphabet::dna(), 70 + 15 * trial, rng);
-    MutationModel model;
-    model.substitution_rate = 0.05;
-    const Sequence mutated = mutate(gene, model, rng);
-    const Sequence subject(
-        Alphabet::dna(),
-        random_sequence(Alphabet::dna(), 800, rng).to_string() +
-            mutated.to_string() +
-            random_sequence(Alphabet::dna(), 600, rng).to_string());
-    const search::KmerIndex index(subject, 8);
-    const auto hits = search::seed_and_extend(gene, index, scheme());
-    const Score optimum =
-        local_align_full_matrix(gene, subject, scheme()).score;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      const Alignment& a = hits[i].alignment;
-      EXPECT_LE(a.score, optimum) << "trial " << trial;
-      EXPECT_EQ(a.score, score_alignment(a, scheme(), Alphabet::dna()))
-          << "trial " << trial;
-      if (i + 1 < hits.size()) {
-        EXPECT_GE(a.score, hits[i + 1].alignment.score) << "trial " << trial;
-      }
-      for (std::size_t j = i + 1; j < hits.size(); ++j) {
-        const Alignment& b = hits[j].alignment;
-        EXPECT_TRUE(a.b_end <= b.b_begin || b.b_end <= a.b_begin)
-            << "trial " << trial;
-      }
-    }
-    ASSERT_FALSE(hits.empty()) << "trial " << trial;
-    EXPECT_EQ(hits[0].alignment.score, optimum) << "trial " << trial;
-  }
-}
-
-TEST(SeedExtend, Validation) {
-  const Sequence q(Alphabet::dna(), "ACGTACGTACGT");
-  const search::KmerIndex index(q, 4);
-  search::SearchParams params;
-  params.k = 5;  // mismatched with the index
-  EXPECT_THROW(search::seed_and_extend(q, index, scheme(), params),
-               std::invalid_argument);
-  const SubstitutionMatrix m = scoring::dna();
-  const ScoringScheme affine(m, -5, -1);
-  search::SearchParams ok;
-  ok.k = 4;
-  EXPECT_THROW(search::seed_and_extend(q, index, affine, ok),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,20 +1,22 @@
-// Memory regression tests for the search pipeline's gapped stage: the
-// linear-space local aligner must not allocate the O(|query| * window)
-// full Smith-Waterman matrix. A byte-counting global allocator (the
-// test_arena.cpp trick, counting sizes instead of calls) measures the
-// real heap traffic of both aligners and of seed_and_extend end to end —
-// reverting stage 3 to local_align_full_matrix fails these by an order
-// of magnitude.
+// Memory regression tests for the search paths: the linear-space local
+// aligner must not allocate the O(|query| * window) full Smith-Waterman
+// matrix, and chained search must stay below one such matrix end to end.
+// A byte-counting global allocator (the test_arena.cpp trick, counting
+// sizes instead of calls) measures the real heap traffic — reverting
+// local_align to local_align_full_matrix fails these by an order of
+// magnitude.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "core/local_align.hpp"
 #include "dp/local.hpp"
 #include "scoring/builtin.hpp"
-#include "search/seed_extend.hpp"
+#include "search/chain.hpp"
+#include "search/reference_index.hpp"
 #include "sequence/generate.hpp"
 
 namespace {
@@ -74,8 +76,8 @@ TEST(SearchMemory, LinearSpaceAlignerAllocatesFarLessThanTheFullMatrix) {
           gene.to_string() +
           random_sequence(Alphabet::dna(), 1800, rng).to_string());
 
-  // The same linearly-bounded base case stage 3 of seed_and_extend uses:
-  // FastLSA recursion memory tracks the perimeter, not the cell product.
+  // A linearly-bounded base case: FastLSA recursion memory tracks the
+  // perimeter, not the cell product.
   FastLsaOptions linear_options;
   linear_options.base_case_cells =
       8 * (gene.size() + window.size());
@@ -91,7 +93,7 @@ TEST(SearchMemory, LinearSpaceAlignerAllocatesFarLessThanTheFullMatrix) {
   EXPECT_EQ(linear_score, 400 * 5);
   // The full matrix holds |query| * |window| cells; linear space keeps
   // O(|query| + |window|) rows plus the FastLSA grid. An order of
-  // magnitude is a loose bound — reverting stage 3 trips it immediately.
+  // magnitude is a loose bound — a full-matrix fallback trips it at once.
   EXPECT_LT(linear_bytes * 10, full_bytes)
       << "linear " << linear_bytes << " vs full " << full_bytes;
 }
@@ -133,39 +135,37 @@ TEST(SearchMemory, LinearSpaceScalesLinearlyFullMatrixQuadratically) {
       << linear_small << " -> " << linear_large;
 }
 
-TEST(SearchMemory, SeedAndExtendHeapTrafficStaysFarBelowTheMatrixProduct) {
-  // End to end: stage 3 aligns the query against a padded window of
-  // roughly |query| + 2 * window_pad subject residues per candidate. With
-  // the linear-space aligner the whole search allocates a small multiple
-  // of the sequences involved — nowhere near one full DP matrix.
+TEST(SearchMemory, ChainedSearchHeapTrafficStaysFarBelowTheMatrixProduct) {
+  // End to end on the path the daemon serves: anchors, chaining, banded
+  // gap fills and gapped flank extensions of every filled chain. Besides
+  // the planted gene, the subject carries ten 150-residue fragments of it
+  // (domain repeats): each is a chain of its own, and under this scheme
+  // its flanks extend for hundreds of rows. A flank spans at most
+  // |query| by |query| + band_pad residues, and the whole search must
+  // allocate less than one |query| x (|query| + 2 * band_pad) int32 DP
+  // matrix — a fresh flank traceback per chain overshoots it.
   Xoshiro256 rng(283);
   const Sequence gene = random_sequence(Alphabet::dna(), 1000, rng);
   MutationModel model;
   model.substitution_rate = 0.03;
-  const Sequence mutated = mutate(gene, model, rng);
-  const Sequence subject(
-      Alphabet::dna(),
-      random_sequence(Alphabet::dna(), 4000, rng).to_string() +
-          mutated.to_string() +
-          random_sequence(Alphabet::dna(), 3000, rng).to_string());
-  const search::KmerIndex index(subject, 12);
+  std::string subject = random_sequence(Alphabet::dna(), 4000, rng)
+                            .to_string();
+  for (std::size_t c = 0; c < 10; ++c) {
+    subject += gene.to_string().substr(50 + 90 * c, 150);
+    subject += random_sequence(Alphabet::dna(), 500, rng).to_string();
+  }
+  subject += mutate(gene, model, rng).to_string();
+  subject += random_sequence(Alphabet::dna(), 3000, rng).to_string();
+  const search::ReferenceIndex index(Sequence(Alphabet::dna(), subject), 12);
 
-  search::SearchParams params;  // long seeds + a high floor: only the
-  params.k = 12;                // planted region yields candidates
-  params.min_ungapped_score = 80;
-  params.max_hits = 4;
+  const search::ChainedSearchParams params;
   std::size_t hit_count = 0;
   const std::uint64_t search_bytes = bytes_allocated_by([&] {
-    hit_count =
-        search::seed_and_extend(gene, index, scheme(), params).size();
+    hit_count = search::chained_search(gene, index, scheme(), params).size();
   });
-  ASSERT_GT(hit_count, 0u);
+  ASSERT_GT(hit_count, 1u);  // the gene and some of its repeats
 
-  const std::size_t window = gene.size() + 2 * params.window_pad;
-  // One full-matrix window is |query| * window cells at >= 4 bytes of
-  // score each. The *entire* pipeline — every candidate window — must
-  // stay under a single such matrix; the reverted full-matrix stage 3
-  // blows the bound on its very first candidate.
+  const std::size_t window = gene.size() + 2 * params.band_pad;
   const std::uint64_t one_matrix =
       static_cast<std::uint64_t>(gene.size()) * window * 4;
   EXPECT_LT(search_bytes, one_matrix)

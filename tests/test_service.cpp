@@ -11,6 +11,7 @@
 #include <netinet/in.h>
 #include <stdlib.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -316,6 +317,42 @@ TEST(Service, GarbageFrameAnswersBadRequestOverRawSocket) {
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->code, ErrorCode::kBadRequest);
   EXPECT_EQ(error->request_id, 0u);  // unparseable: no id to echo
+
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Service, OversizedFrameHeaderAnswersBadRequestOverRawSocket) {
+  // A length prefix over max_frame_bytes is refused before any payload is
+  // read: the peer gets a typed BAD_REQUEST (id 0).
+  ServiceConfig config;
+  config.max_frame_bytes = 4096;
+  AlignmentServer server(config);
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const timeval timeout{5, 0};  // a missing answer fails, not hangs
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  const std::string header = frame_bytes(std::string(8192, 'x')).substr(0, 4);
+  ASSERT_TRUE(write_all(fd, header));
+  std::string payload;
+  ASSERT_TRUE(read_frame(fd, &payload));
+  const Response response = decode_response(payload);
+  const auto* error = std::get_if<ErrorResponse>(&response);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, ErrorCode::kBadRequest);
+  EXPECT_EQ(error->request_id, 0u);
 
   ::close(fd);
   server.stop();

@@ -2,16 +2,13 @@
 // completeness, and equivalence between policies.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <string_view>
 #include <vector>
 
 #include "core/tile_executor.hpp"
-#include "parallel/steal_deque.hpp"
 #include "parallel/wavefront.hpp"
 
 namespace flsa {
@@ -199,7 +196,7 @@ TEST_P(WavefrontPolicies, EmptyGridIsNoop) {
 
 TEST_P(WavefrontPolicies, ManyMoreTilesThanWorkers) {
   // Tiles >> workers: 2 workers over a 24x24 grid exercises sustained
-  // queue/deque churn (and steal pressure on the work-stealing policy).
+  // ready-queue churn.
   ThreadPool pool(2);
   WavefrontExecutor exec(pool, GetParam());
   CompletionLog log(24, 24);
@@ -215,8 +212,8 @@ TEST_P(WavefrontPolicies, ManyMoreTilesThanWorkers) {
 
 TEST_P(WavefrontPolicies, RaggedTileCostsAcrossManyRuns) {
   // Heavily ragged costs (two orders of magnitude spread) across repeated
-  // runs on one executor — the persistent deques/counters must reset
-  // cleanly between runs.
+  // runs on one executor — the persistent counters must reset cleanly
+  // between runs.
   ThreadPool pool(4);
   WavefrontExecutor exec(pool, GetParam());
   for (int round = 0; round < 5; ++round) {
@@ -242,16 +239,13 @@ TEST_P(WavefrontPolicies, RaggedTileCostsAcrossManyRuns) {
 INSTANTIATE_TEST_SUITE_P(Policies, WavefrontPolicies,
                          ::testing::Values(
                              SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter,
-                             SchedulerKind::kWorkStealing),
+                             SchedulerKind::kDependencyCounter),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case SchedulerKind::kBarrierStaged:
                                return "barrier";
                              case SchedulerKind::kDependencyCounter:
                                return "dependency";
-                             case SchedulerKind::kWorkStealing:
-                               return "stealing";
                            }
                            return "unknown";
                          });
@@ -288,8 +282,6 @@ TEST(Wavefront, AllPoliciesVisitTheSameTileSet) {
       visited_under(SchedulerKind::kBarrierStaged);
   const std::vector<int> dependency =
       visited_under(SchedulerKind::kDependencyCounter);
-  const std::vector<int> stealing =
-      visited_under(SchedulerKind::kWorkStealing);
   for (std::size_t ti = 0; ti < 8; ++ti) {
     for (std::size_t tj = 0; tj < 11; ++tj) {
       const int expected = skip(ti, tj) ? 0 : 1;
@@ -297,14 +289,13 @@ TEST(Wavefront, AllPoliciesVisitTheSameTileSet) {
     }
   }
   EXPECT_EQ(dependency, barrier);
-  EXPECT_EQ(stealing, barrier);
 }
 
-TEST(Wavefront, WorkStealingPropagatesExceptions) {
-  // A throwing tile must neither hang the quiescence loop nor be lost:
-  // the first error reaches the caller.
+TEST_P(WavefrontPolicies, ThrowingTilePropagatesToTheCaller) {
+  // A throwing tile must neither hang the other workers nor be lost: the
+  // first error reaches the caller.
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, SchedulerKind::kWorkStealing);
+  WavefrontExecutor exec(pool, GetParam());
   EXPECT_THROW(
       exec.run(
           6, 6, nullptr,
@@ -364,94 +355,19 @@ TEST(Wavefront, SchedulerNames) {
   EXPECT_STREQ(to_string(SchedulerKind::kBarrierStaged), "barrier-staged");
   EXPECT_STREQ(to_string(SchedulerKind::kDependencyCounter),
                "dependency-counter");
-  EXPECT_STREQ(to_string(SchedulerKind::kWorkStealing), "work-stealing");
 }
 
 TEST(Wavefront, ParseSchedulerKind) {
   SchedulerKind kind = SchedulerKind::kBarrierStaged;
-  EXPECT_TRUE(parse_scheduler_kind("stealing", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kWorkStealing);
-  EXPECT_TRUE(parse_scheduler_kind("work-stealing", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kWorkStealing);
   EXPECT_TRUE(parse_scheduler_kind("dependency", &kind));
   EXPECT_EQ(kind, SchedulerKind::kDependencyCounter);
   EXPECT_TRUE(parse_scheduler_kind("dependency-counter", &kind));
   EXPECT_TRUE(parse_scheduler_kind("barrier", &kind));
   EXPECT_EQ(kind, SchedulerKind::kBarrierStaged);
   EXPECT_TRUE(parse_scheduler_kind("barrier-staged", &kind));
-  kind = SchedulerKind::kWorkStealing;
+  kind = SchedulerKind::kDependencyCounter;
   EXPECT_FALSE(parse_scheduler_kind("fifo", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kWorkStealing);  // untouched on failure
-}
-
-TEST(StealDeque, OwnerLifoThiefFifo) {
-  StealDeque deque;
-  deque.prepare(8);
-  deque.push(10);
-  deque.push(11);
-  deque.push(12);
-  EXPECT_EQ(deque.depth_hint(), 3);
-
-  std::uint32_t v = 0;
-  ASSERT_TRUE(deque.pop(&v));  // owner pops the newest
-  EXPECT_EQ(v, 12u);
-  ASSERT_TRUE(deque.steal(&v));  // thief takes the oldest
-  EXPECT_EQ(v, 10u);
-  ASSERT_TRUE(deque.pop(&v));
-  EXPECT_EQ(v, 11u);
-  EXPECT_FALSE(deque.pop(&v));
-  EXPECT_FALSE(deque.steal(&v));
-}
-
-TEST(StealDeque, PrepareResetsAcrossRuns) {
-  StealDeque deque;
-  for (int run = 0; run < 3; ++run) {
-    deque.prepare(4);
-    EXPECT_EQ(deque.depth_hint(), 0);
-    deque.push(static_cast<std::uint32_t>(run));
-    std::uint32_t v = 99;
-    ASSERT_TRUE(deque.steal(&v));
-    EXPECT_EQ(v, static_cast<std::uint32_t>(run));
-    EXPECT_FALSE(deque.steal(&v));
-  }
-}
-
-TEST(StealDeque, ConcurrentDrainDeliversEachValueOnce) {
-  // One owner pushing/popping, three thieves stealing: every pushed value
-  // must be taken exactly once. (Run under TSan in CI.)
-  constexpr std::uint32_t kValues = 2000;
-  StealDeque deque;
-  deque.prepare(kValues);
-  std::vector<std::atomic<int>> taken(kValues);
-  for (auto& t : taken) t.store(0);
-  std::atomic<std::uint32_t> total_taken{0};
-
-  auto consume = [&](std::uint32_t v) {
-    taken[v].fetch_add(1);
-    total_taken.fetch_add(1);
-  };
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      std::uint32_t v = 0;
-      while (total_taken.load() < kValues) {
-        if (deque.steal(&v)) consume(v);
-      }
-    });
-  }
-  // Owner: push in bursts, occasionally popping its own work.
-  std::uint32_t next = 0;
-  while (next < kValues) {
-    const std::uint32_t burst = std::min<std::uint32_t>(7, kValues - next);
-    for (std::uint32_t i = 0; i < burst; ++i) deque.push(next++);
-    std::uint32_t v = 0;
-    if (deque.pop(&v)) consume(v);
-  }
-  for (auto& thief : thieves) thief.join();
-  EXPECT_EQ(total_taken.load(), kValues);
-  for (std::uint32_t v = 0; v < kValues; ++v) {
-    EXPECT_EQ(taken[v].load(), 1) << "value " << v;
-  }
+  EXPECT_EQ(kind, SchedulerKind::kDependencyCounter);  // untouched on failure
 }
 
 }  // namespace

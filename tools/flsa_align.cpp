@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 1, "threads for --algorithm parallel");
   cli.add_string("scheduler", "dependency",
                  "wavefront scheduler for --algorithm parallel: "
-                 "barrier | dependency | stealing");
+                 "barrier | dependency");
   // The accepted --kernel names come from the dispatch table itself, so
   // the help text can never drift from what parse_kernel_kind accepts.
   std::string kernel_help = "DP sweep kernel: ";

@@ -3,10 +3,10 @@
 //
 // Speaks the same wire protocol as flsa_serve to clients, and routes:
 // REF_PUT/SEARCH by rendezvous hashing on the reference id (replication
-// factor --replication), ALIGN least-loaded; slow singles are hedged to a
-// second replica and small queued ALIGNs are coalesced into ALIGN_BATCH
-// frames. SIGINT/SIGTERM drain gracefully: stop accepting, finish
-// in-flight requests, answer stragglers SHUTTING_DOWN, exit 0.
+// factor --replication), ALIGN least-loaded; small queued ALIGNs are
+// coalesced into ALIGN_BATCH frames. SIGINT/SIGTERM drain gracefully:
+// stop accepting, finish in-flight requests, answer stragglers
+// SHUTTING_DOWN, exit 0.
 //
 //   flsa_router --port 7420 --backends 127.0.0.1:7421,127.0.0.1:7422
 //   flsa_router --port 0 --port-file /tmp/port --backend-file backends.txt
@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
   flsa::CliParser cli(
       "flsa_router: sharded front tier for flsa_serve fleets. Speaks the "
       "wire protocol of docs/service.md to clients; routes REF_PUT/SEARCH "
-      "by rendezvous hashing, ALIGN least-loaded, with hedging and batch "
-      "coalescing. SIGINT/SIGTERM drain gracefully.");
+      "by rendezvous hashing, ALIGN least-loaded, with batch coalescing. "
+      "SIGINT/SIGTERM drain gracefully.");
   cli.add_string("host", "127.0.0.1", "listen address");
   cli.add_int("port", 7420, "TCP port (0 = ephemeral, see --port-file)");
   cli.add_string("port-file", "",
@@ -105,11 +105,6 @@ int main(int argc, char** argv) {
   cli.add_int("coalesce-cells-k", 1024,
               "only ALIGNs at most this many thousand DPM cells are "
               "coalesced");
-  cli.add_flag("no-hedge", false, "disable hedged requests");
-  cli.add_int("hedge-min-ms", 20, "floor of the hedge threshold, ms");
-  cli.add_int("hedge-budget", 10,
-              "hedges issued may not exceed this percentage of forwarded "
-              "requests");
   cli.add_int("max-attempts", 3, "total sends per request (try + failovers)");
   cli.add_int("health-interval-ms", 200, "STATS health-check period");
   cli.add_int("upload-route-ttl-ms", 600000,
@@ -149,11 +144,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(
             std::max<std::int64_t>(1, cli.get_int("coalesce-cells-k"))) *
         1000u;
-    config.hedge_enabled = !cli.get_flag("no-hedge");
-    config.hedge_min_ms = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(0, cli.get_int("hedge-min-ms")));
-    config.hedge_budget_percent = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(0, cli.get_int("hedge-budget")));
     config.max_attempts = static_cast<unsigned>(
         std::max<std::int64_t>(1, cli.get_int("max-attempts")));
     config.health_interval_ms = static_cast<std::uint32_t>(
@@ -196,9 +186,7 @@ int main(int argc, char** argv) {
                 << router.port() << " (backends=" << config.backends.size()
                 << ", replication=" << config.replication
                 << ", channels/backend=" << config.channels_per_backend
-                << ", coalesce<=" << config.coalesce_max_jobs
-                << " jobs, hedging "
-                << (config.hedge_enabled ? "on" : "off") << ")\n"
+                << ", coalesce<=" << config.coalesce_max_jobs << " jobs)\n"
                 << std::flush;
     }
 
