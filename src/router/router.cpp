@@ -1,15 +1,9 @@
 #include "router/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -28,8 +22,6 @@ using service::AlignRefRequest;
 using service::AlignRequest;
 using service::ErrorCode;
 using service::ErrorResponse;
-using service::ProtocolError;
-using service::ReadTimeout;
 using service::RefListRequest;
 using service::RefListResponse;
 using service::RefPutRequest;
@@ -87,19 +79,6 @@ bool interruptible_sleep(std::uint32_t total_ms,
 }
 
 }  // namespace
-
-/// Per-client-connection state; same ownership discipline as the server's
-/// Connection (open flipped under write_mutex before any close).
-struct Router::ClientConn {
-  int fd = -1;
-  std::mutex write_mutex;
-  bool open = true;  ///< guarded by write_mutex
-  std::atomic<bool> finished{false};
-  /// Ops admitted from this peer and not yet answered — an idle read
-  /// timeout only hangs up when this is zero.
-  std::atomic<std::size_t> in_flight{0};
-  std::thread handler;
-};
 
 /// One pipelined router->backend connection. The reader thread owns the
 /// fd lifecycle (dial, close, re-dial); writers only ever shutdown() it,
@@ -203,7 +182,17 @@ Router::Router(RouterConfig config)
           obs::metrics().histogram("router.latency_seconds"),
       },
       shard_map_(std::max<std::size_t>(config_.backends.size(), 1),
-                 std::max<std::size_t>(config_.replication, 1)) {
+                 std::max<std::size_t>(config_.replication, 1)),
+      frames_({config_.host, config_.port, config_.backlog,
+               config_.idle_timeout_ms, config_.max_connections,
+               config_.max_frame_bytes},
+              {obs::metrics().counter("router.connections"),
+               obs::metrics().counter("router.rejected.connection_limit"),
+               instruments_.bad_requests, instruments_.write_errors},
+              [this](const std::shared_ptr<ClientConn>& conn,
+                     Request request) {
+                handle_request(conn, std::move(request));
+              }) {
   FLSA_REQUIRE(!config_.backends.empty());
   FLSA_REQUIRE(config_.channels_per_backend >= 1);
   FLSA_REQUIRE(config_.coalesce_max_jobs >= 1);
@@ -248,41 +237,7 @@ void Router::start() {
                              " configured)");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("socket failed: ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("invalid listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("bind/listen on " + config_.host + ":" +
-                             std::to_string(config_.port) +
-                             " failed: " + what);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error(std::string("getsockname failed: ") + what);
-  }
-  port_ = ntohs(bound.sin_port);
+  frames_.listen();
 
   if (config_.enable_metrics) obs::set_enabled(true);
 
@@ -303,7 +258,7 @@ void Router::start() {
   }
   prober_ = std::thread([this] { prober_loop(); });
   monitor_ = std::thread([this] { monitor_loop(); });
-  acceptor_ = std::thread([this] { accept_loop(); });
+  frames_.start_accepting();
 }
 
 void Router::stop() {
@@ -311,10 +266,7 @@ void Router::stop() {
   draining_.store(true, std::memory_order_release);
 
   // 1. Stop admitting clients.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  frames_.stop_accepting();
 
   // 2. Bounded drain: give in-flight ops a grace window to complete
   //    through the backends (the flushers and channels are still up).
@@ -368,14 +320,7 @@ void Router::stop() {
   if (monitor_.joinable()) monitor_.join();
 
   // 6. Unblock and reap the client connections.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& conn : connections_) {
-      std::lock_guard<std::mutex> write_lock(conn->write_mutex);
-      if (conn->open) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  reap_connections(/*all=*/true);
+  frames_.close_connections();
   {
     std::lock_guard<std::mutex> lock(coalesce_mutex_);
     coalesce_groups_.clear();
@@ -384,135 +329,6 @@ void Router::stop() {
 }
 
 // ---- Client side -------------------------------------------------------
-
-void Router::accept_loop() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (draining_.load(std::memory_order_acquire)) return;
-      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
-        continue;
-      }
-      return;
-    }
-    if (draining_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
-    if (config_.idle_timeout_ms != 0) {
-      timeval tv{};
-      tv.tv_sec = config_.idle_timeout_ms / 1000;
-      tv.tv_usec =
-          static_cast<suseconds_t>((config_.idle_timeout_ms % 1000) * 1000);
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
-
-    reap_connections(/*all=*/false);
-    if (config_.max_connections != 0 &&
-        live_connections() >= config_.max_connections) {
-      ErrorResponse refusal;
-      refusal.code = ErrorCode::kConnectionLimit;
-      refusal.message = "connection limit of " +
-                        std::to_string(config_.max_connections) + " reached";
-      try {
-        service::write_frame(fd, service::encode(refusal));
-      } catch (const std::exception&) {
-      }
-      ::close(fd);
-      continue;
-    }
-
-    auto conn = std::make_shared<ClientConn>();
-    conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(conn);
-    }
-    conn->handler = std::thread([this, conn] { client_loop(conn); });
-  }
-}
-
-std::size_t Router::live_connections() {
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  std::size_t live = 0;
-  for (const auto& conn : connections_) {
-    if (!conn->finished.load(std::memory_order_acquire)) ++live;
-  }
-  return live;
-}
-
-void Router::kill_connection(const std::shared_ptr<ClientConn>& conn) {
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (conn->open) {
-    conn->open = false;
-    ::shutdown(conn->fd, SHUT_RDWR);
-  }
-}
-
-void Router::reap_connections(bool all) {
-  std::vector<std::shared_ptr<ClientConn>> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    auto it = connections_.begin();
-    while (it != connections_.end()) {
-      if (all || (*it)->finished.load(std::memory_order_acquire)) {
-        finished.push_back(*it);
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& conn : finished) {
-    if (conn->handler.joinable()) conn->handler.join();
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    conn->open = false;
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
-}
-
-void Router::client_loop(std::shared_ptr<ClientConn> conn) {
-  std::string payload;
-  while (true) {
-    try {
-      if (!service::read_frame(conn->fd, &payload, config_.max_frame_bytes)) {
-        break;  // clean EOF
-      }
-    } catch (const ReadTimeout&) {
-      if (conn->in_flight.load(std::memory_order_acquire) > 0) continue;
-      kill_connection(conn);
-      break;
-    } catch (const TransportError&) {
-      kill_connection(conn);
-      break;
-    } catch (const ProtocolError& e) {
-      // A length prefix over max_frame_bytes: answer it, as the daemon
-      // does, rather than hanging up without a word; the unread payload
-      // makes the rest of the stream unusable.
-      instruments_.bad_requests.add();
-      reject(conn, 0, ErrorCode::kBadRequest, e.what());
-      kill_connection(conn);
-      break;
-    } catch (const std::exception&) {
-      break;
-    }
-    try {
-      handle_request(conn, service::decode_request(payload));
-    } catch (const ProtocolError& e) {
-      instruments_.bad_requests.add();
-      reject(conn, 0, ErrorCode::kBadRequest, e.what());
-      break;
-    }
-  }
-  conn->finished.store(true, std::memory_order_release);
-}
 
 void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
                             Request request) {
@@ -525,7 +341,8 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
       std::visit([](const auto& r) { return r.request_id; }, request);
   if (draining_.load(std::memory_order_acquire)) {
     instruments_.rejected_shutdown.add();
-    reject(conn, client_id, ErrorCode::kShuttingDown, "router is draining");
+    frames_.reject(conn, client_id, ErrorCode::kShuttingDown,
+                   "router is draining");
     return;
   }
 
@@ -552,9 +369,9 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
       std::lock_guard<std::mutex> lock(refs_mutex_);
       const auto it = refs_.find(search->ref_id);
       if (it == refs_.end()) {
-        reject(conn, client_id, ErrorCode::kRefNotFound,
-               "reference id " + std::to_string(search->ref_id) +
-                   " is not registered with the router");
+        frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
+                       "reference id " + std::to_string(search->ref_id) +
+                           " is not registered with the router");
         return;
       }
       op->ref_ids = it->second;
@@ -602,9 +419,10 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
     }
     if (!routed) {
       instruments_.bad_requests.add();
-      reject(conn, client_id, ErrorCode::kBadRequest,
-             "unknown upload token " + std::to_string(chunk->upload_token) +
-                 " (send SEQ_BEGIN first)");
+      frames_.reject(conn, client_id, ErrorCode::kBadRequest,
+                     "unknown upload token " +
+                         std::to_string(chunk->upload_token) +
+                         " (send SEQ_BEGIN first)");
       return;
     }
     op->pinned = true;
@@ -626,9 +444,10 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
     }
     if (!routed) {
       instruments_.bad_requests.add();
-      reject(conn, client_id, ErrorCode::kBadRequest,
-             "unknown upload token " + std::to_string(end->upload_token) +
-                 " (send SEQ_BEGIN first)");
+      frames_.reject(conn, client_id, ErrorCode::kBadRequest,
+                     "unknown upload token " +
+                         std::to_string(end->upload_token) +
+                         " (send SEQ_BEGIN first)");
       return;
     }
     op->pinned = true;
@@ -644,18 +463,18 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
       std::lock_guard<std::mutex> lock(refs_mutex_);
       const auto a_it = refs_.find(by_ref->ref_a);
       if (a_it == refs_.end()) {
-        reject(conn, client_id, ErrorCode::kRefNotFound,
-               "reference id " + std::to_string(by_ref->ref_a) +
-                   " is not registered with the router");
+        frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
+                       "reference id " + std::to_string(by_ref->ref_a) +
+                           " is not registered with the router");
         return;
       }
       op->ref_ids = a_it->second;
       if (by_ref->ref_b != 0) {
         const auto b_it = refs_.find(by_ref->ref_b);
         if (b_it == refs_.end()) {
-          reject(conn, client_id, ErrorCode::kRefNotFound,
-                 "reference id " + std::to_string(by_ref->ref_b) +
-                     " is not registered with the router");
+          frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
+                         "reference id " + std::to_string(by_ref->ref_b) +
+                             " is not registered with the router");
           return;
         }
         op->ref_ids_b = b_it->second;
@@ -673,10 +492,10 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
       op->eligible.push_back(backend);
     }
     if (op->eligible.empty()) {
-      reject(conn, client_id, ErrorCode::kRefNotFound,
-             "references " + std::to_string(by_ref->ref_a) + " and " +
-                 std::to_string(by_ref->ref_b) +
-                 " share no backend placement");
+      frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
+                     "references " + std::to_string(by_ref->ref_a) + " and " +
+                         std::to_string(by_ref->ref_b) +
+                         " share no backend placement");
       return;
     }
   } else {
@@ -694,8 +513,8 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
   const int backend = pick_backend(op->eligible, -1);
   if (backend < 0) {
     instruments_.rejected_overloaded.add();
-    reject(conn, client_id, ErrorCode::kOverloaded,
-           "no healthy backend available");
+    frames_.reject(conn, client_id, ErrorCode::kOverloaded,
+                   "no healthy backend available");
     return;
   }
   dispatch(std::move(op), static_cast<std::size_t>(backend));
@@ -750,30 +569,7 @@ void Router::answer_stats(const std::shared_ptr<ClientConn>& conn,
        obs::metrics().snapshot()) {
     response.entries.emplace_back(sample.name, sample.value);
   }
-  respond(conn, service::encode(response));
-}
-
-bool Router::respond(const std::shared_ptr<ClientConn>& conn,
-                     const std::string& payload) {
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!conn->open) return false;
-  try {
-    return service::write_frame(conn->fd, payload);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-void Router::reject(const std::shared_ptr<ClientConn>& conn,
-                    std::uint64_t request_id, ErrorCode code,
-                    const std::string& message) {
-  ErrorResponse response;
-  response.request_id = request_id;
-  response.code = code;
-  response.message = message;
-  if (!respond(conn, service::encode(response))) {
-    instruments_.write_errors.add();
-  }
+  frames_.respond(conn, service::encode(response));
 }
 
 // ---- Routing / dispatch ------------------------------------------------
@@ -1053,23 +849,10 @@ void Router::channel_loop(std::size_t backend_index,
   while (!draining_.load(std::memory_order_acquire)) {
     if (!channel.open.load(std::memory_order_acquire)) {
       // (Re)dial. The reader owns the fd: nobody else ever closes it.
-      int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      bool connected = false;
-      if (fd >= 0) {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(backend.endpoint.port);
-        if (::inet_pton(AF_INET, backend.endpoint.host.c_str(),
-                        &addr.sin_addr) == 1 &&
-            ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          connected = true;
-        }
-      }
-      if (!connected) {
-        if (fd >= 0) ::close(fd);
+      int fd = -1;
+      try {
+        fd = service::dial_tcp(backend.endpoint.host, backend.endpoint.port);
+      } catch (const TransportError&) {
         if (!interruptible_sleep(config_.health_interval_ms, draining_)) {
           return;
         }
@@ -1143,7 +926,7 @@ void Router::channel_loop(std::size_t backend_index,
           if (op != nullptr) {
             AlignPartResponse forwarded = *part;
             forwarded.request_id = op->client_id;
-            if (!respond(op->client, service::encode(forwarded))) {
+            if (!frames_.respond(op->client, service::encode(forwarded))) {
               instruments_.write_errors.add();
             }
           }
@@ -1348,7 +1131,7 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
   }
   instruments_.completed.add();
   set_response_id(response, op->client_id);
-  if (!respond(op->client, encode_response(response))) {
+  if (!frames_.respond(op->client, encode_response(response))) {
     instruments_.write_errors.add();
   }
 }
@@ -1375,7 +1158,7 @@ void Router::complete_error(std::uint64_t id, ErrorCode code,
   }
   if (code == ErrorCode::kInternal) instruments_.internal_errors.add();
   instruments_.completed.add();
-  if (!respond(op->client, service::encode(response))) {
+  if (!frames_.respond(op->client, service::encode(response))) {
     instruments_.write_errors.add();
   }
 }
@@ -1412,14 +1195,14 @@ void Router::complete_ref_put(const std::shared_ptr<PendingOp>& op,
     out.request_id = agg->client_id;
     out.ref_id = agg->router_ref_id;  // clients only ever see router ids
     instruments_.completed.add();
-    if (!respond(agg->client, service::encode(out))) {
+    if (!frames_.respond(agg->client, service::encode(out))) {
       instruments_.write_errors.add();
     }
   } else {
     ErrorResponse out = agg->err;
     out.request_id = agg->client_id;
     instruments_.completed.add();
-    if (!respond(agg->client, service::encode(out))) {
+    if (!frames_.respond(agg->client, service::encode(out))) {
       instruments_.write_errors.add();
     }
   }

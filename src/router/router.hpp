@@ -3,7 +3,9 @@
 //
 // Request flow
 // ------------
-//   client conn threads  read frames, decode, assign a router-wide id,
+//   client conn threads  one per client, run by the shared connection
+//                        layer (service::FrameServer): read and decode
+//                        frames, then here assign a router-wide id,
 //                        register a PendingOp, and push the id onto the
 //                        chosen backend's outbound queue
 //   backend flushers     one per backend: pop ids, coalesce small queued
@@ -68,6 +70,7 @@
 #include "router/shard_map.hpp"
 #include "service/bounded_queue.hpp"
 #include "service/client.hpp"
+#include "service/frame_server.hpp"
 #include "service/protocol.hpp"
 
 namespace flsa {
@@ -138,7 +141,7 @@ class Router {
   /// answers stragglers with SHUTTING_DOWN, tears everything down.
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return frames_.port(); }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   const RouterConfig& config() const { return config_; }
@@ -152,14 +155,12 @@ class Router {
       std::chrono::steady_clock::time_point now);
 
  private:
-  struct ClientConn;
+  using ClientConn = service::FrameServer::Connection;
   struct Channel;
   struct Backend;
   struct RefPutAgg;
   struct PendingOp;
 
-  void accept_loop();
-  void client_loop(std::shared_ptr<ClientConn> conn);
   void handle_request(const std::shared_ptr<ClientConn>& conn,
                       service::Request request);
   void route_ref_put(const std::shared_ptr<ClientConn>& conn,
@@ -210,20 +211,9 @@ class Router {
   void complete_ref_put(const std::shared_ptr<PendingOp>& op,
                         service::Response response);
 
-  /// Writes a response payload to an origin client (connection-locked).
-  bool respond(const std::shared_ptr<ClientConn>& conn,
-               const std::string& payload);
-  void reject(const std::shared_ptr<ClientConn>& conn,
-              std::uint64_t request_id, service::ErrorCode code,
-              const std::string& message);
-
   std::uint64_t next_op_id() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  std::size_t live_connections();
-  void reap_connections(bool all);
-  void kill_connection(const std::shared_ptr<ClientConn>& conn);
 
   struct Instruments {
     obs::Counter& requests;
@@ -254,8 +244,6 @@ class Router {
   Instruments instruments_;
   ShardMap shard_map_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
 
@@ -304,12 +292,13 @@ class Router {
 
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  std::thread acceptor_;
   std::thread prober_;
   std::thread monitor_;
 
-  std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<ClientConn>> connections_;
+  /// The client-facing connection layer; its handler is handle_request.
+  /// Declared last so its handler threads are joined before any state
+  /// they touch is destroyed.
+  service::FrameServer frames_;
 };
 
 }  // namespace router

@@ -1,19 +1,14 @@
 #include "service/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "service/frame_server.hpp"
 #include "support/assert.hpp"
 #include "support/fnv.hpp"
 
@@ -76,31 +71,6 @@ Client& Client::operator=(Client&& other) noexcept {
   return *this;
 }
 
-void Client::dial(const std::string& host, std::uint16_t port) {
-  close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw TransportError(std::string("socket failed: ") +
-                         std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close();
-    throw std::runtime_error("invalid server address: " + host);
-  }
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string what = std::strerror(errno);
-    close();
-    throw TransportError("connect to " + host + ":" +
-                         std::to_string(port) + " failed: " + what);
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 void Client::connect(const std::string& host, std::uint16_t port) {
   connect(std::vector<Endpoint>{{host, port}});
 }
@@ -118,7 +88,8 @@ void Client::reconnect() {
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
     const std::size_t index = (cursor_ + i) % endpoints_.size();
     try {
-      dial(endpoints_[index].host, endpoints_[index].port);
+      close();
+      fd_ = dial_tcp(endpoints_[index].host, endpoints_[index].port);
       cursor_ = index;
       return;
     } catch (const TransportError&) {

@@ -57,8 +57,7 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Connects to host:port (remembered for reconnects). Throws
-  /// TransportError on socket-level failures, std::runtime_error on a
-  /// malformed address.
+  /// TransportError on any failure, a malformed address included.
   void connect(const std::string& host, std::uint16_t port);
 
   /// Connects to the first reachable endpoint of the list, trying them in
@@ -168,8 +167,6 @@ class Client {
  private:
   std::uint64_t next_id();
   Response wait_for(std::uint64_t request_id);
-  /// Raw socket dial of one address; no endpoint-list bookkeeping.
-  void dial(const std::string& host, std::uint16_t port);
   /// Rotates the cursor to the next endpoint (no-op for a single one).
   void advance_endpoint();
   template <typename RequestT>

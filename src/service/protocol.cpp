@@ -843,7 +843,7 @@ namespace {
 
 /// Reads exactly `n` bytes. Returns 0 on EOF before any byte, n on
 /// success; throws TransportError on EOF mid-read (a peer that died
-/// mid-frame) and on an expired SO_RCVTIMEO read deadline. When
+/// mid-frame) and on an expired socket receive deadline. When
 /// `boundary` is set and the deadline expires before the first byte,
 /// throws the ReadTimeout subtype instead (idle peer, not a stall).
 std::size_t read_exact(int fd, char* out, std::size_t n,

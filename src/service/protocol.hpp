@@ -439,7 +439,7 @@ class TransportError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// The read deadline (SO_RCVTIMEO) expired while waiting *at a frame
+/// The socket receive deadline expired while waiting *at a frame
 /// boundary*: the peer is connected but has sent nothing. A subtype so
 /// generic TransportError handling still applies, but the server can
 /// tell a genuinely idle peer (safe to hang up on) from one that is

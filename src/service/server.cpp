@@ -1,12 +1,7 @@
 #include "service/server.hpp"
 
-#include <arpa/inet.h>
 #include <dirent.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -97,32 +92,15 @@ std::uint32_t default_seed_k(const ServiceConfig& config, WireMatrix matrix) {
 
 }  // namespace
 
-/// Per-connection state shared between the handler thread (reads) and the
-/// workers (response writes). `open` is flipped under `write_mutex` before
-/// the fd is closed, so a worker can never write into a recycled fd.
-struct AlignmentServer::Connection {
-  int fd = -1;
-  std::mutex write_mutex;
-  bool open = true;                ///< guarded by write_mutex
-  std::atomic<bool> finished{false};  ///< handler thread has exited
-  /// Admitted-but-unanswered jobs from this peer. An idle-deadline expiry
-  /// only hangs up when this is zero: a client quietly waiting out a long
-  /// alignment is not idle, it is patient.
-  std::atomic<std::size_t> in_flight{0};
-  std::thread handler;
-};
-
 AlignmentServer::AlignmentServer(ServiceConfig config)
     : config_(std::move(config)),
       instruments_{
-          obs::metrics().counter("service.connections"),
           obs::metrics().counter("service.requests"),
           obs::metrics().counter("service.completed"),
           obs::metrics().counter("service.rejected.overloaded"),
           obs::metrics().counter("service.rejected.too_large"),
           obs::metrics().counter("service.rejected.deadline"),
           obs::metrics().counter("service.rejected.shutting_down"),
-          obs::metrics().counter("service.rejected.connection_limit"),
           obs::metrics().counter("service.bad_requests"),
           obs::metrics().counter("service.internal_errors"),
           obs::metrics().counter("service.write_errors"),
@@ -158,11 +136,22 @@ AlignmentServer::AlignmentServer(ServiceConfig config)
           obs::metrics().histogram("search.exec_seconds"),
           obs::metrics().histogram("search.ref_build_seconds"),
       },
-      queue_(config_.queue_capacity == 0 ? 1 : config_.queue_capacity) {
+      injector_(config_.fault_plan.enabled()
+                    ? std::make_unique<FaultInjector>(config_.fault_plan)
+                    : nullptr),
+      queue_(config_.queue_capacity == 0 ? 1 : config_.queue_capacity),
+      frames_({config_.host, config_.port, config_.backlog,
+               config_.idle_timeout_ms, config_.max_connections,
+               config_.max_frame_bytes},
+              {obs::metrics().counter("service.connections"),
+               obs::metrics().counter("service.rejected.connection_limit"),
+               instruments_.bad_requests, instruments_.write_errors},
+              [this](const std::shared_ptr<Connection>& connection,
+                     Request request) {
+                handle_request(connection, std::move(request));
+              },
+              injector_.get()) {
   validate(config_.fastlsa);
-  if (config_.fault_plan.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(config_.fault_plan);
-  }
 }
 
 AlignmentServer::~AlignmentServer() { stop(); }
@@ -170,42 +159,7 @@ AlignmentServer::~AlignmentServer() { stop(); }
 void AlignmentServer::start() {
   FLSA_REQUIRE(!running_.load());
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("socket failed: ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("invalid listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("bind/listen on " + config_.host + ":" +
-                             std::to_string(config_.port) + " failed: " +
-                             what);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error(std::string("getsockname failed: ") + what);
-  }
-  port_ = ntohs(bound.sin_port);
+  frames_.listen();
 
   if (config_.enable_metrics) obs::set_enabled(true);
 
@@ -219,8 +173,7 @@ void AlignmentServer::start() {
       store_dir_ = config_.store_dir;
       owns_store_dir_ = false;
       if (::mkdir(store_dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+        frames_.stop_accepting();
         throw std::runtime_error("cannot create store directory '" +
                                  store_dir_ + "': " + std::strerror(errno));
       }
@@ -229,8 +182,7 @@ void AlignmentServer::start() {
       std::string tmpl =
           std::string(tmp != nullptr ? tmp : "/tmp") + "/flsa_store.XXXXXX";
       if (::mkdtemp(tmpl.data()) == nullptr) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+        frames_.stop_accepting();
         throw std::runtime_error(std::string("mkdtemp failed: ") +
                                  std::strerror(errno));
       }
@@ -249,8 +201,7 @@ void AlignmentServer::start() {
     try {
       recover_store_dir();
     } catch (const std::exception& e) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+      frames_.stop_accepting();
       throw std::runtime_error("store recovery in '" + store_dir_ +
                                "' failed: " + e.what());
     }
@@ -266,7 +217,7 @@ void AlignmentServer::start() {
   for (unsigned i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  frames_.start_accepting();
   {
     std::lock_guard<std::mutex> lock(hygiene_mutex_);
     hygiene_stop_ = false;
@@ -286,11 +237,8 @@ void AlignmentServer::stop() {
   hygiene_cv_.notify_all();
   if (hygiene_.joinable()) hygiene_.join();
 
-  // 1. Stop accepting: shutdown unblocks the acceptor's accept(2).
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  // 1. Stop accepting.
+  frames_.stop_accepting();
 
   // 2. Drain: no new admissions, workers finish every queued job.
   queue_.close();
@@ -302,14 +250,7 @@ void AlignmentServer::stop() {
   // 3. Every admitted job is answered; unblock the connection readers
   //    (clients that pipelined further requests got SHUTTING_DOWN from
   //    the closed queue) and tear the sockets down.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-      if (connection->open) ::shutdown(connection->fd, SHUT_RDWR);
-    }
-  }
-  reap_connections(/*all=*/true);
+  frames_.close_connections();
   instruments_.queue_depth.set(0.0);
   instruments_.in_flight.set(0.0);
 
@@ -336,160 +277,6 @@ void AlignmentServer::stop() {
     store_dir_.clear();
     owns_store_dir_ = false;
   }
-}
-
-void AlignmentServer::accept_loop() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // EINVAL/EBADF after stop()'s shutdown — or a transient error while
-      // still running; either way, stop accepting only when draining.
-      if (draining_.load(std::memory_order_acquire)) return;
-      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
-        continue;  // out of fds or a client vanished: keep serving
-      }
-      return;
-    }
-    if (draining_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-
-    // Connection hygiene: a low-latency, keepalive-probed socket with a
-    // per-recv deadline. The deadline is the slow-loris defence — a peer
-    // dribbling one byte per minute cannot pin a handler thread forever.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
-    if (config_.idle_timeout_ms != 0) {
-      timeval tv{};
-      tv.tv_sec = config_.idle_timeout_ms / 1000;
-      tv.tv_usec = static_cast<suseconds_t>(
-          (config_.idle_timeout_ms % 1000) * 1000);
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
-
-    reap_connections(/*all=*/false);
-    if (config_.max_connections != 0 &&
-        live_connections() >= config_.max_connections) {
-      // Over the cap: a typed answer, then close. Never a silent drop —
-      // the peer learns *why* and can back off (the code is retryable).
-      instruments_.rejected_connection_limit.add();
-      ErrorResponse refusal;
-      refusal.code = ErrorCode::kConnectionLimit;
-      refusal.message = "connection limit of " +
-                        std::to_string(config_.max_connections) + " reached";
-      try {
-        write_frame(fd, encode(refusal));
-      } catch (const std::exception&) {
-        // Best effort; the close below is the real answer.
-      }
-      ::close(fd);
-      continue;
-    }
-
-    instruments_.connections.add();
-    auto connection = std::make_shared<Connection>();
-    connection->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(connection);
-    }
-    connection->handler = std::thread(
-        [this, connection] { connection_loop(connection); });
-  }
-}
-
-std::size_t AlignmentServer::live_connections() {
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  std::size_t live = 0;
-  for (const auto& connection : connections_) {
-    if (!connection->finished.load(std::memory_order_acquire)) ++live;
-  }
-  return live;
-}
-
-void AlignmentServer::kill_connection(
-    const std::shared_ptr<Connection>& connection) {
-  // shutdown() only — the fd itself is closed exactly once, by
-  // reap_connections after the handler thread joined, so no thread can
-  // ever touch a recycled descriptor.
-  std::lock_guard<std::mutex> lock(connection->write_mutex);
-  if (connection->open) {
-    connection->open = false;
-    ::shutdown(connection->fd, SHUT_RDWR);
-  }
-}
-
-void AlignmentServer::reap_connections(bool all) {
-  std::vector<std::shared_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    auto it = connections_.begin();
-    while (it != connections_.end()) {
-      if (all || (*it)->finished.load(std::memory_order_acquire)) {
-        finished.push_back(*it);
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& connection : finished) {
-    if (connection->handler.joinable()) connection->handler.join();
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    connection->open = false;
-    if (connection->fd >= 0) {
-      ::close(connection->fd);
-      connection->fd = -1;
-    }
-  }
-}
-
-void AlignmentServer::connection_loop(
-    std::shared_ptr<Connection> connection) {
-  std::string payload;
-  while (true) {
-    if (injector_ && injector_->active()) {
-      // Read-site faults: a stalled reader sleeps inside inject_read();
-      // a drop kills this connection the way a flaky network would.
-      if (injector_->inject_read() == ReadFault::kDrop) {
-        kill_connection(connection);
-        break;
-      }
-    }
-    try {
-      if (!read_frame(connection->fd, &payload, config_.max_frame_bytes)) {
-        break;  // clean EOF
-      }
-    } catch (const ReadTimeout&) {
-      // Idle deadline at a frame boundary. A peer with admitted jobs
-      // still in flight is waiting, not idling — re-arm and read again.
-      if (connection->in_flight.load(std::memory_order_acquire) > 0) {
-        continue;
-      }
-      kill_connection(connection);  // truly idle: hang up (peer sees EOF)
-      break;
-    } catch (const TransportError&) {
-      // Peer reset, fd shut down during drain, or a mid-frame stall past
-      // the read deadline (slow-loris defence): nobody sane is left.
-      kill_connection(connection);
-      break;
-    } catch (const ProtocolError& e) {
-      reject(connection, 0, ErrorCode::kBadRequest, e.what());
-      break;
-    } catch (const std::exception&) {
-      break;  // other socket error
-    }
-    try {
-      handle_request(connection, decode_request(payload));
-    } catch (const ProtocolError& e) {
-      reject(connection, 0, ErrorCode::kBadRequest, e.what());
-      break;  // framing is suspect; stop reading from this peer
-    }
-  }
-  connection->finished.store(true, std::memory_order_release);
 }
 
 void AlignmentServer::handle_request(
@@ -546,8 +333,8 @@ void AlignmentServer::handle_request(
     cells = estimated_cells(*batch);
     if (batch->jobs.empty()) {
       instruments_.bad_requests.add();
-      reject(connection, request_id, ErrorCode::kBadRequest,
-             "batch contains no jobs");
+      frames_.reject(connection, request_id, ErrorCode::kBadRequest,
+                     "batch contains no jobs");
       return;
     }
   } else if (const auto* by_ref = std::get_if<AlignRefRequest>(&request)) {
@@ -564,9 +351,9 @@ void AlignmentServer::handle_request(
       const auto a_it = refs_.find(by_ref->ref_a);
       if (a_it == refs_.end()) {
         instruments_.search_ref_not_found.add();
-        reject(connection, request_id, ErrorCode::kRefNotFound,
-               "reference id " + std::to_string(by_ref->ref_a) +
-                   " is not registered");
+        frames_.reject(connection, request_id, ErrorCode::kRefNotFound,
+                       "reference id " + std::to_string(by_ref->ref_a) +
+                           " is not registered");
         return;
       }
       len_a = a_it->second.view.size();
@@ -574,9 +361,9 @@ void AlignmentServer::handle_request(
         const auto b_it = refs_.find(by_ref->ref_b);
         if (b_it == refs_.end()) {
           instruments_.search_ref_not_found.add();
-          reject(connection, request_id, ErrorCode::kRefNotFound,
-                 "reference id " + std::to_string(by_ref->ref_b) +
-                     " is not registered");
+          frames_.reject(connection, request_id, ErrorCode::kRefNotFound,
+                         "reference id " + std::to_string(by_ref->ref_b) +
+                             " is not registered");
           return;
         }
         len_b = b_it->second.view.size();
@@ -608,8 +395,8 @@ void AlignmentServer::handle_request(
 
   if (draining_.load(std::memory_order_acquire)) {
     instruments_.rejected_shutdown.add();
-    reject(connection, request_id, ErrorCode::kShuttingDown,
-           "server is draining");
+    frames_.reject(connection, request_id, ErrorCode::kShuttingDown,
+                   "server is draining");
     return;
   }
   if (cells > config_.max_request_cells) {
@@ -619,7 +406,8 @@ void AlignmentServer::handle_request(
   }
   if (!too_large_message.empty()) {
     instruments_.rejected_too_large.add();
-    reject(connection, request_id, ErrorCode::kTooLarge, too_large_message);
+    frames_.reject(connection, request_id, ErrorCode::kTooLarge,
+                   too_large_message);
     return;
   }
   if (injector_ && injector_->active() && injector_->inject_reject()) {
@@ -627,8 +415,8 @@ void AlignmentServer::handle_request(
     // exactly the typed answer a real full queue produces (and the
     // client retry/backoff path that recovers from it).
     instruments_.rejected_overloaded.add();
-    reject(connection, request_id, ErrorCode::kOverloaded,
-           "fault injection: admission rejected");
+    frames_.reject(connection, request_id, ErrorCode::kOverloaded,
+                   "fault injection: admission rejected");
     return;
   }
 
@@ -664,15 +452,15 @@ void AlignmentServer::enqueue(const std::shared_ptr<Connection>& connection,
     case BoundedQueue<Job>::Push::kFull:
       connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
       instruments_.rejected_overloaded.add();
-      reject(connection, request_id, ErrorCode::kOverloaded,
-             "request queue full (" + std::to_string(queue_.capacity()) +
-                 " entries)");
+      frames_.reject(connection, request_id, ErrorCode::kOverloaded,
+                     "request queue full (" +
+                         std::to_string(queue_.capacity()) + " entries)");
       break;
     case BoundedQueue<Job>::Push::kClosed:
       connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
       instruments_.rejected_shutdown.add();
-      reject(connection, request_id, ErrorCode::kShuttingDown,
-             "server is draining");
+      frames_.reject(connection, request_id, ErrorCode::kShuttingDown,
+                     "server is draining");
       break;
   }
 }
@@ -709,10 +497,12 @@ void AlignmentServer::worker_loop(unsigned worker_index) {
     if (deadline_ms != 0 &&
         now - job->enqueued >= std::chrono::milliseconds(deadline_ms)) {
       instruments_.rejected_deadline.add();
-      reject(job->connection, request_id, ErrorCode::kDeadlineExceeded,
-             "queued for " +
-                 std::to_string(micros_between(job->enqueued, now) / 1000) +
-                 " ms, deadline " + std::to_string(deadline_ms) + " ms");
+      frames_.reject(job->connection, request_id, ErrorCode::kDeadlineExceeded,
+                     "queued for " +
+                         std::to_string(
+                             micros_between(job->enqueued, now) / 1000) +
+                         " ms, deadline " + std::to_string(deadline_ms) +
+                         " ms");
       job->connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
       instruments_.in_flight.set(static_cast<double>(
           jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1));
@@ -855,7 +645,7 @@ void AlignmentServer::execute_align(Aligner& aligner, Job& job,
   const BatchItem item = run_align(aligner, job.enqueued, request);
   const std::string payload =
       std::visit([](const auto& response) { return encode(response); }, item);
-  if (!respond(job.connection, payload)) {
+  if (!frames_.respond(job.connection, payload)) {
     instruments_.write_errors.add();
   }
 }
@@ -872,7 +662,7 @@ void AlignmentServer::execute_align_batch(Aligner& aligner, Job& job,
   for (const AlignRequest& item : request.jobs) {
     response.items.push_back(run_align(aligner, job.enqueued, item));
   }
-  if (!respond(job.connection, encode(response))) {
+  if (!frames_.respond(job.connection, encode(response))) {
     instruments_.write_errors.add();
   }
 }
@@ -1104,7 +894,7 @@ void AlignmentServer::execute_ref_put(Job& job,
         }
         instruments_.completed.add();
         instruments_.ref_dedup_hits.add();
-        if (!respond(job.connection, encode(response))) {
+        if (!frames_.respond(job.connection, encode(response))) {
           instruments_.write_errors.add();
         }
         return;
@@ -1149,21 +939,21 @@ void AlignmentServer::execute_ref_put(Job& job,
     instruments_.ref_residues.add(response.residues);
     instruments_.ref_build_seconds.observe(
         static_cast<double>(response.build_micros) * 1e-6);
-    if (!respond(job.connection, encode(response))) {
+    if (!frames_.respond(job.connection, encode(response))) {
       instruments_.write_errors.add();
     }
   } catch (const search::SubjectTooLarge& e) {
     instruments_.rejected_too_large.add();
-    reject(job.connection, request.request_id, ErrorCode::kTooLarge,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kTooLarge,
+                   e.what());
   } catch (const std::invalid_argument& e) {
     instruments_.bad_requests.add();
-    reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
+                   e.what());
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(job.connection, request.request_id, ErrorCode::kInternal,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1182,9 +972,10 @@ void AlignmentServer::execute_search(Job& job, const SearchRequest& request) {
     }
     if (!found) {
       instruments_.search_ref_not_found.add();
-      reject(job.connection, request.request_id, ErrorCode::kRefNotFound,
-             "reference id " + std::to_string(request.ref_id) +
-                 " is not registered");
+      frames_.reject(job.connection, request.request_id,
+                     ErrorCode::kRefNotFound,
+                     "reference id " + std::to_string(request.ref_id) +
+                         " is not registered");
       return;
     }
     if (!entry.index && entry.build_k != 0) {
@@ -1256,10 +1047,10 @@ void AlignmentServer::execute_search(Job& job, const SearchRequest& request) {
           job.enqueued + std::chrono::milliseconds(request.deadline_ms);
       if (done >= deadline) {
         instruments_.rejected_deadline.add();
-        reject(job.connection, request.request_id,
-               ErrorCode::kDeadlineExceeded,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired during execution; result discarded");
+        frames_.reject(job.connection, request.request_id,
+                       ErrorCode::kDeadlineExceeded,
+                       "deadline of " + std::to_string(request.deadline_ms) +
+                           " ms expired during execution; result discarded");
         return;
       }
       deadline_remaining_ms =
@@ -1295,17 +1086,17 @@ void AlignmentServer::execute_search(Job& job, const SearchRequest& request) {
         static_cast<double>(response.queue_micros) * 1e-6);
     instruments_.search_exec_seconds.observe(
         static_cast<double>(response.exec_micros) * 1e-6);
-    if (!respond(job.connection, encode(response))) {
+    if (!frames_.respond(job.connection, encode(response))) {
       instruments_.write_errors.add();
     }
   } catch (const std::invalid_argument& e) {
     instruments_.bad_requests.add();
-    reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
+                   e.what());
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(job.connection, request.request_id, ErrorCode::kInternal,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1315,28 +1106,29 @@ void AlignmentServer::handle_seq_begin(
   instruments_.requests.add();
   if (draining_.load(std::memory_order_acquire)) {
     instruments_.rejected_shutdown.add();
-    reject(connection, request.request_id, ErrorCode::kShuttingDown,
-           "server is draining");
+    frames_.reject(connection, request.request_id, ErrorCode::kShuttingDown,
+                   "server is draining");
     return;
   }
   if (request.upload_token == 0) {
     instruments_.bad_requests.add();
-    reject(connection, request.request_id, ErrorCode::kBadRequest,
-           "upload token must be nonzero");
+    frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                   "upload token must be nonzero");
     return;
   }
   if (request.total_residues > config_.max_store_residues) {
     instruments_.rejected_too_large.add();
-    reject(connection, request.request_id, ErrorCode::kTooLarge,
-           "declared upload of " + std::to_string(request.total_residues) +
-               " residues exceeds the store limit of " +
-               std::to_string(config_.max_store_residues));
+    frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
+                   "declared upload of " +
+                       std::to_string(request.total_residues) +
+                       " residues exceeds the store limit of " +
+                       std::to_string(config_.max_store_residues));
     return;
   }
   if (injector_ && injector_->active() && injector_->inject_reject()) {
     instruments_.rejected_overloaded.add();
-    reject(connection, request.request_id, ErrorCode::kOverloaded,
-           "fault injection: admission rejected");
+    frames_.reject(connection, request.request_id, ErrorCode::kOverloaded,
+                   "fault injection: admission rejected");
     return;
   }
   try {
@@ -1356,9 +1148,10 @@ void AlignmentServer::handle_seq_begin(
       } else {
         if (uploads_.size() >= config_.max_uploads_in_flight) {
           instruments_.rejected_overloaded.add();
-          reject(connection, request.request_id, ErrorCode::kOverloaded,
-                 "too many uploads in flight (" +
-                     std::to_string(config_.max_uploads_in_flight) + ")");
+          frames_.reject(connection, request.request_id, ErrorCode::kOverloaded,
+                         "too many uploads in flight (" +
+                             std::to_string(config_.max_uploads_in_flight) +
+                             ")");
           return;
         }
         const Alphabet& alphabet = alphabet_for(request.matrix);
@@ -1381,12 +1174,13 @@ void AlignmentServer::handle_seq_begin(
       }
     }
     instruments_.completed.add();
-    if (!respond(connection, encode(response))) {
+    if (!frames_.respond(connection, encode(response))) {
       instruments_.write_errors.add();
     }
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(connection, request.request_id, ErrorCode::kInternal, e.what());
+    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1396,8 +1190,8 @@ void AlignmentServer::handle_seq_chunk(
   instruments_.requests.add();
   if (draining_.load(std::memory_order_acquire)) {
     instruments_.rejected_shutdown.add();
-    reject(connection, request.request_id, ErrorCode::kShuttingDown,
-           "server is draining");
+    frames_.reject(connection, request.request_id, ErrorCode::kShuttingDown,
+                   "server is draining");
     return;
   }
   try {
@@ -1409,10 +1203,10 @@ void AlignmentServer::handle_seq_chunk(
       const auto it = uploads_.find(request.upload_token);
       if (it == uploads_.end()) {
         instruments_.bad_requests.add();
-        reject(connection, request.request_id, ErrorCode::kBadRequest,
-               "unknown upload token " +
-                   std::to_string(request.upload_token) +
-                   " (send SEQ_BEGIN first)");
+        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                       "unknown upload token " +
+                           std::to_string(request.upload_token) +
+                           " (send SEQ_BEGIN first)");
         return;
       }
       Upload& upload = it->second;
@@ -1428,9 +1222,10 @@ void AlignmentServer::handle_seq_chunk(
         // A gap (or partial overlap) — the session stays open so the
         // client can re-BEGIN, learn next_offset, and resume correctly.
         instruments_.bad_requests.add();
-        reject(connection, request.request_id, ErrorCode::kBadRequest,
-               "chunk at offset " + std::to_string(request.offset) +
-                   " does not resume at " + std::to_string(upload.received));
+        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                       "chunk at offset " + std::to_string(request.offset) +
+                           " does not resume at " +
+                           std::to_string(upload.received));
         return;
       } else {
         if (chunk_end > config_.max_store_residues ||
@@ -1447,8 +1242,8 @@ void AlignmentServer::handle_seq_chunk(
           instruments_.uploads_active.set(
               static_cast<double>(uploads_.size()));
           instruments_.rejected_too_large.add();
-          reject(connection, request.request_id, ErrorCode::kTooLarge,
-                 message);
+          frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
+                         message);
           return;
         }
         const std::uint64_t rolled =
@@ -1462,9 +1257,9 @@ void AlignmentServer::handle_seq_chunk(
           instruments_.uploads_active.set(
               static_cast<double>(uploads_.size()));
           instruments_.bad_requests.add();
-          reject(connection, request.request_id, ErrorCode::kBadRequest,
-                 "prefix checksum mismatch at offset " +
-                     std::to_string(chunk_end) + "; upload aborted");
+          frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                         "prefix checksum mismatch at offset " +
+                             std::to_string(chunk_end) + "; upload aborted");
           return;
         }
         try {
@@ -1475,8 +1270,8 @@ void AlignmentServer::handle_seq_chunk(
           instruments_.uploads_active.set(
               static_cast<double>(uploads_.size()));
           instruments_.bad_requests.add();
-          reject(connection, request.request_id, ErrorCode::kBadRequest,
-                 message + "; upload aborted");
+          frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                         message + "; upload aborted");
           return;
         }
         upload.received = chunk_end;
@@ -1488,12 +1283,13 @@ void AlignmentServer::handle_seq_chunk(
       }
     }
     instruments_.completed.add();
-    if (!respond(connection, encode(response))) {
+    if (!frames_.respond(connection, encode(response))) {
       instruments_.write_errors.add();
     }
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(connection, request.request_id, ErrorCode::kInternal, e.what());
+    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1508,10 +1304,10 @@ void AlignmentServer::handle_seq_end(
       const auto it = uploads_.find(request.upload_token);
       if (it == uploads_.end()) {
         instruments_.bad_requests.add();
-        reject(connection, request.request_id, ErrorCode::kBadRequest,
-               "unknown upload token " +
-                   std::to_string(request.upload_token) +
-                   " (send SEQ_BEGIN first)");
+        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                       "unknown upload token " +
+                           std::to_string(request.upload_token) +
+                           " (send SEQ_BEGIN first)");
         return;
       }
       it->second.last_activity = std::chrono::steady_clock::now();
@@ -1519,10 +1315,12 @@ void AlignmentServer::handle_seq_end(
         // Wrong length but the bytes present are fine: keep the session
         // so the client can resume the missing tail.
         instruments_.bad_requests.add();
-        reject(connection, request.request_id, ErrorCode::kBadRequest,
-               "SEQ_END declares " + std::to_string(request.total_residues) +
-                   " residues but " + std::to_string(it->second.received) +
-                   " were received; resume from there or abort");
+        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                       "SEQ_END declares " +
+                           std::to_string(request.total_residues) +
+                           " residues but " +
+                           std::to_string(it->second.received) +
+                           " were received; resume from there or abort");
         return;
       }
       if (request.total_hash != 0 &&
@@ -1532,8 +1330,8 @@ void AlignmentServer::handle_seq_end(
         uploads_.erase(it);
         instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
         instruments_.bad_requests.add();
-        reject(connection, request.request_id, ErrorCode::kBadRequest,
-               message);
+        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                       message);
         return;
       }
       upload = std::move(it->second);
@@ -1568,18 +1366,21 @@ void AlignmentServer::handle_seq_end(
     response.next_offset = upload.received;
     response.ref_id = ref_id;
     response.residues = upload.received;
-    if (!respond(connection, encode(response))) {
+    if (!frames_.respond(connection, encode(response))) {
       instruments_.write_errors.add();
     }
   } catch (const search::SubjectTooLarge& e) {
     instruments_.rejected_too_large.add();
-    reject(connection, request.request_id, ErrorCode::kTooLarge, e.what());
+    frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
+                   e.what());
   } catch (const std::invalid_argument& e) {
     instruments_.bad_requests.add();
-    reject(connection, request.request_id, ErrorCode::kBadRequest, e.what());
+    frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
+                   e.what());
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(connection, request.request_id, ErrorCode::kInternal, e.what());
+    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1608,10 +1409,11 @@ void AlignmentServer::execute_align_ref(Aligner& aligner, Job& job,
     }
     if (!found_a || !found_b) {
       instruments_.search_ref_not_found.add();
-      reject(job.connection, request.request_id, ErrorCode::kRefNotFound,
-             "reference id " +
-                 std::to_string(found_a ? request.ref_b : request.ref_a) +
-                 " is not registered");
+      const std::uint64_t missing = found_a ? request.ref_b : request.ref_a;
+      frames_.reject(job.connection, request.request_id,
+                     ErrorCode::kRefNotFound,
+                     "reference id " + std::to_string(missing) +
+                         " is not registered");
       return;
     }
     const Alphabet& alphabet = alphabet_for(request.matrix);
@@ -1674,10 +1476,10 @@ void AlignmentServer::execute_align_ref(Aligner& aligner, Job& job,
           job.enqueued + std::chrono::milliseconds(request.deadline_ms);
       if (done >= deadline) {
         instruments_.rejected_deadline.add();
-        reject(job.connection, request.request_id,
-               ErrorCode::kDeadlineExceeded,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired during execution; result discarded");
+        frames_.reject(job.connection, request.request_id,
+                       ErrorCode::kDeadlineExceeded,
+                       "deadline of " + std::to_string(request.deadline_ms) +
+                           " ms expired during execution; result discarded");
         return;
       }
       deadline_remaining_ms =
@@ -1724,19 +1526,19 @@ void AlignmentServer::execute_align_ref(Aligner& aligner, Job& job,
             cigar.substr(begin, std::min(slice, cigar.size() - begin));
       }
       instruments_.align_parts.add();
-      if (!respond(job.connection, encode(response))) {
+      if (!frames_.respond(job.connection, encode(response))) {
         instruments_.write_errors.add();
         return;  // peer is gone; the remaining parts have no reader
       }
     }
   } catch (const std::invalid_argument& e) {
     instruments_.bad_requests.add();
-    reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
+                   e.what());
   } catch (const std::exception& e) {
     instruments_.internal_errors.add();
-    reject(job.connection, request.request_id, ErrorCode::kInternal,
-           e.what());
+    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
+                   e.what());
   }
 }
 
@@ -1758,7 +1560,7 @@ void AlignmentServer::answer_stats(
        obs::metrics().snapshot()) {
     response.entries.emplace_back(sample.name, sample.value);
   }
-  respond(connection, encode(response));
+  frames_.respond(connection, encode(response));
 }
 
 void AlignmentServer::answer_ref_list(
@@ -1783,64 +1585,7 @@ void AlignmentServer::answer_ref_list(
     }
   }
   instruments_.completed.add();
-  if (!respond(connection, encode(response))) {
-    instruments_.write_errors.add();
-  }
-}
-
-bool AlignmentServer::respond(const std::shared_ptr<Connection>& connection,
-                              const std::string& payload) {
-  // Write-site faults are decided (and delay faults slept) before taking
-  // the write mutex, so a stalled injector never serializes every other
-  // responder on this connection.
-  WriteFault fault = WriteFault::kNone;
-  if (injector_ && injector_->active()) fault = injector_->inject_write();
-
-  std::lock_guard<std::mutex> lock(connection->write_mutex);
-  if (!connection->open) return false;
-  try {
-    switch (fault) {
-      case WriteFault::kDrop:
-        // The network ate the whole answer: kill the connection.
-        connection->open = false;
-        ::shutdown(connection->fd, SHUT_RDWR);
-        return false;
-      case WriteFault::kTruncate: {
-        // Server-died-mid-write: send a strict prefix of the frame, then
-        // kill. The peer must surface a typed TransportError, never a
-        // hang (framing promised more bytes) or a garbage score.
-        const std::string wire = frame_bytes(payload);
-        const std::size_t cut = injector_->truncate_point(wire.size());
-        (void)write_all(connection->fd,
-                        std::string_view(wire).substr(0, cut));
-        connection->open = false;
-        ::shutdown(connection->fd, SHUT_RDWR);
-        return false;
-      }
-      case WriteFault::kCorrupt: {
-        // Damaged-but-framed bytes: always a typed decode error on the
-        // peer (see FaultInjector::corrupt), never a wrong-score answer.
-        std::string damaged = payload;
-        FaultInjector::corrupt(damaged);
-        return write_frame(connection->fd, damaged);
-      }
-      case WriteFault::kNone:
-        break;
-    }
-    return write_frame(connection->fd, payload);
-  } catch (const std::exception&) {
-    return false;  // peer is gone; dropping the answer is the contract
-  }
-}
-
-void AlignmentServer::reject(const std::shared_ptr<Connection>& connection,
-                             std::uint64_t request_id, ErrorCode code,
-                             const std::string& message) {
-  ErrorResponse response;
-  response.request_id = request_id;
-  response.code = code;
-  response.message = message;
-  if (!respond(connection, encode(response))) {
+  if (!frames_.respond(connection, encode(response))) {
     instruments_.write_errors.add();
   }
 }

@@ -3,10 +3,12 @@
 //
 // Threading model
 // ---------------
-//   acceptor thread      accept()s connections, one handler thread each
-//   connection threads   read frames, decode, run admission control, and
-//                        either answer inline (STATS, rejections) or
-//                        enqueue a Job
+//   FrameServer          the shared connection layer (service/
+//                        frame_server.hpp): accepts, caps and reaps
+//                        connections, one handler thread each
+//   connection threads   read and decode frames (FrameServer), then run
+//                        admission control here and either answer
+//                        inline (STATS, rejections) or enqueue a Job
 //   worker threads       pop Jobs from the bounded queue; each worker owns
 //                        a persistent Aligner whose workspace (core/arena)
 //                        makes steady-state alignment allocation-free
@@ -52,6 +54,7 @@
 #include "sequence/sequence_view.hpp"
 #include "service/bounded_queue.hpp"
 #include "service/fault.hpp"
+#include "service/frame_server.hpp"
 #include "service/protocol.hpp"
 #include "store/packed_store.hpp"
 #include "store/registry.hpp"
@@ -81,10 +84,11 @@ struct ServiceConfig {
   int backlog = 128;
 
   // ---- Connection hygiene ---------------------------------------------
-  /// Per-recv read deadline in milliseconds (SO_RCVTIMEO on accepted
-  /// sockets). Bounds both idle connections and slow-loris peers that
-  /// dribble a frame byte-by-byte: any single recv stalled past this is
-  /// a TransportError and the connection is closed. 0 disables.
+  /// Per-recv read deadline in milliseconds (a receive timeout on
+  /// accepted sockets, set by FrameServer). Bounds both idle connections
+  /// and slow-loris peers that dribble a frame byte-by-byte: any single
+  /// recv stalled past this is a TransportError and the connection is
+  /// closed. 0 disables.
   std::uint32_t idle_timeout_ms = 60000;
   /// Cap on concurrently served connections. A connection over the cap
   /// is answered with a typed CONNECTION_LIMIT error and closed — never
@@ -148,7 +152,7 @@ class AlignmentServer {
   void start();
 
   /// The bound TCP port (resolves config.port == 0 to the real one).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return frames_.port(); }
 
   /// Graceful drain; blocks until every admitted job is answered and all
   /// threads are joined. Idempotent and callable from any thread (the
@@ -177,7 +181,7 @@ class AlignmentServer {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  struct Connection;
+  using Connection = FrameServer::Connection;
   /// Work the worker pool executes. REF_PUT rides the same queue as the
   /// DP verbs so index builds obey admission control and drain ordering;
   /// ALIGN_BATCH runs all jobs on one worker's Aligner so the coalesced
@@ -226,8 +230,6 @@ class AlignmentServer {
     std::chrono::steady_clock::time_point last_activity{};
   };
 
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> connection);
   void worker_loop(unsigned worker_index);
 
   /// Handles one decoded request on the connection thread (admission,
@@ -305,37 +307,14 @@ class AlignmentServer {
                                std::string_view letters,
                                const std::string& name);
 
-  /// Serialized, connection-locked frame write; false when the peer hung
-  /// up (the job's result is then dropped, not an error). Consults the
-  /// fault injector's write site when a plan is active.
-  bool respond(const std::shared_ptr<Connection>& connection,
-               const std::string& payload);
-  void reject(const std::shared_ptr<Connection>& connection,
-              std::uint64_t request_id, ErrorCode code,
-              const std::string& message);
-
-  /// Closes a connection from its own handler (fault drops, hygiene):
-  /// flips `open` under the write mutex so no worker writes into a
-  /// recycled fd, then closes.
-  void kill_connection(const std::shared_ptr<Connection>& connection);
-
-  /// Live (unreaped, unfinished) connection count for the accept cap.
-  std::size_t live_connections();
-
-  /// Joins finished connection handlers and closes their sockets.
-  /// Amortized from the accept loop; stop() sweeps the remainder.
-  void reap_connections(bool all);
-
   /// Cached registry instruments (stable references, hot-path safe).
   struct Instruments {
-    obs::Counter& connections;
     obs::Counter& requests;
     obs::Counter& completed;
     obs::Counter& rejected_overloaded;
     obs::Counter& rejected_too_large;
     obs::Counter& rejected_deadline;
     obs::Counter& rejected_shutdown;
-    obs::Counter& rejected_connection_limit;
     obs::Counter& bad_requests;
     obs::Counter& internal_errors;
     obs::Counter& write_errors;
@@ -377,8 +356,6 @@ class AlignmentServer {
   /// Non-null only when config_.fault_plan is enabled; shared by every
   /// connection handler and worker (FaultInjector is thread-safe).
   std::unique_ptr<FaultInjector> injector_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
@@ -389,11 +366,7 @@ class AlignmentServer {
   std::chrono::steady_clock::time_point started_at_{};
 
   BoundedQueue<Job> queue_;
-  std::thread acceptor_;
   std::vector<std::thread> workers_;
-
-  std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
 
   /// Registered references. The map is touched briefly under the mutex
   /// (insert on REF_PUT/SEQ_END, shared_ptr copy on SEARCH/ALIGN_REF);
@@ -427,6 +400,11 @@ class AlignmentServer {
   std::mutex hygiene_mutex_;
   std::condition_variable hygiene_cv_;
   bool hygiene_stop_ = false;
+
+  /// The client-facing connection layer; its handler is handle_request.
+  /// Declared last so its handler threads are joined before any state
+  /// they touch is destroyed.
+  FrameServer frames_;
 };
 
 }  // namespace service
