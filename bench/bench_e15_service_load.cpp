@@ -184,12 +184,10 @@ FaultyRun run_faulty(std::uint16_t port,
 
 /// One router-fronted fleet size: the closed-loop rows per connection
 /// level plus the router counter deltas that show how the front tier
-/// behaved (batches coalesced, failovers needed).
+/// behaved (failovers needed).
 struct RouterTier {
   std::size_t backends = 0;
   std::vector<LoadRow> rows;
-  std::uint64_t coalesce_batches = 0;
-  std::uint64_t coalesce_jobs = 0;
   std::uint64_t failovers = 0;
 
   /// Best throughput over the connection sweep — the tier's capacity.
@@ -210,10 +208,6 @@ RouterTier run_router_tier(std::size_t backend_count,
                            const std::vector<unsigned>& connection_levels,
                            std::size_t total_requests) {
   namespace obs = flsa::obs;
-  const std::uint64_t batches0 =
-      obs::metrics().counter("router.coalesce.batches").value();
-  const std::uint64_t jobs0 =
-      obs::metrics().counter("router.coalesce.jobs").value();
   const std::uint64_t failovers0 =
       obs::metrics().counter("router.failovers").value();
 
@@ -242,10 +236,6 @@ RouterTier run_router_tier(std::size_t backend_count,
   router.stop();
   for (auto& backend : backends) backend->stop();
 
-  tier.coalesce_batches =
-      obs::metrics().counter("router.coalesce.batches").value() - batches0;
-  tier.coalesce_jobs =
-      obs::metrics().counter("router.coalesce.jobs").value() - jobs0;
   tier.failovers =
       obs::metrics().counter("router.failovers").value() - failovers0;
   return tier;
@@ -290,8 +280,6 @@ void write_json(const std::string& path, unsigned workers,
     const RouterTier& tier = tiers[t];
     out << "      {\"backends\": " << tier.backends
         << ", \"peak_rps\": " << tier.peak_rps()
-        << ", \"coalesce_batches\": " << tier.coalesce_batches
-        << ", \"coalesce_jobs\": " << tier.coalesce_jobs
         << ", \"failovers\": " << tier.failovers << ", \"load\": [\n";
     write_load_rows(out, tier.rows, "        ");
     out << "      ]}" << (t + 1 < tiers.size() ? "," : "") << "\n";
@@ -448,9 +436,7 @@ int main() {
           : 0.0;
   std::cout << "\nper-tier router activity:\n";
   for (const RouterTier& tier : tiers) {
-    std::cout << "  " << tier.backends << " backend(s): coalesced "
-              << tier.coalesce_jobs << " jobs into "
-              << tier.coalesce_batches << " batches, failovers "
+    std::cout << "  " << tier.backends << " backend(s): failovers "
               << tier.failovers << "\n";
   }
   std::cout << "speedup 4 backends vs 1 (peak req/s): "

@@ -4,7 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <iterator>
+#include <future>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -16,7 +16,6 @@ namespace flsa {
 namespace router {
 
 using service::AlignBatchRequest;
-using service::AlignBatchResponse;
 using service::AlignPartResponse;
 using service::AlignRefRequest;
 using service::AlignRequest;
@@ -42,17 +41,15 @@ namespace {
 /// Period of the deadline monitor (monitor_loop), ms.
 constexpr std::uint32_t kMonitorTickMs = 5;
 
-std::uint64_t response_id(const Response& response) {
-  return std::visit([](const auto& r) { return r.request_id; }, response);
-}
-
-void set_response_id(Response& response, std::uint64_t id) {
-  std::visit([id](auto& r) { r.request_id = id; }, response);
-}
-
-std::string encode_response(const Response& response) {
-  return std::visit([](const auto& r) { return service::encode(r); },
-                    response);
+/// The local id `backend` holds a router handle under, from its
+/// placements; 0 (no handle) when it holds none.
+std::uint64_t local_ref_id(
+    const std::vector<std::pair<std::size_t, std::uint64_t>>& placements,
+    std::size_t backend) {
+  for (const auto& [holder, local_id] : placements) {
+    if (holder == backend) return local_id;
+  }
+  return 0;
 }
 
 std::uint64_t millis_between(std::chrono::steady_clock::time_point from,
@@ -134,9 +131,7 @@ struct Router::PendingOp {
   Request request;
   std::chrono::steady_clock::time_point arrival;
   std::uint32_t deadline_ms = 0;  ///< original client budget (0 = none)
-  std::uint64_t cells = 0;
   unsigned attempts = 0;  ///< sends so far
-  bool batched = false;  ///< currently riding inside a batch envelope
   /// SEQ_* / ALIGN_REF: the op is welded to its one eligible backend —
   /// no failover (session state / a possibly-started response stream
   /// lives there; a second send could duplicate either).
@@ -144,6 +139,8 @@ struct Router::PendingOp {
   /// Channel restriction for the send (-1 = any): upload chunks of one
   /// session stay on one channel so the backend sees them in order.
   int channel_pin = -1;
+  /// SEQ_END: complete() turns the backend's ref id into a router handle.
+  bool seals_upload = false;
   int last_backend = -1;
   /// Backends allowed to serve this op (empty = any): SEARCH replicas,
   /// or the single REF_PUT target.
@@ -167,8 +164,6 @@ Router::Router(RouterConfig config)
           obs::metrics().counter("router.bad_requests"),
           obs::metrics().counter("router.internal_errors"),
           obs::metrics().counter("router.failovers"),
-          obs::metrics().counter("router.coalesce.batches"),
-          obs::metrics().counter("router.coalesce.jobs"),
           obs::metrics().counter("router.backend.ejected"),
           obs::metrics().counter("router.backend.readmitted"),
           obs::metrics().counter("router.ref_put.degraded"),
@@ -195,7 +190,6 @@ Router::Router(RouterConfig config)
               }) {
   FLSA_REQUIRE(!config_.backends.empty());
   FLSA_REQUIRE(config_.channels_per_backend >= 1);
-  FLSA_REQUIRE(config_.coalesce_max_jobs >= 1);
   FLSA_REQUIRE(config_.max_attempts >= 1);
   for (const service::Endpoint& endpoint : config_.backends) {
     backends_.push_back(std::make_unique<Backend>(
@@ -248,7 +242,17 @@ void Router::start() {
     Backend& backend = *backends_[bi];
     backend.channels.reserve(config_.channels_per_backend);
     for (std::size_t ci = 0; ci < config_.channels_per_backend; ++ci) {
-      backend.channels.push_back(std::make_unique<Channel>());
+      auto channel = std::make_unique<Channel>();
+      // First dial before any client is accepted: a pinned op (SEQ_*,
+      // ALIGN_REF) never fails over, so it must not find its channel still
+      // connecting. The reader re-dials a backend that refused.
+      try {
+        channel->fd =
+            service::dial_tcp(backend.endpoint.host, backend.endpoint.port);
+        channel->open.store(true, std::memory_order_release);
+      } catch (const TransportError&) {
+      }
+      backend.channels.push_back(std::move(channel));
     }
     for (std::size_t ci = 0; ci < config_.channels_per_backend; ++ci) {
       backend.channels[ci]->reader =
@@ -256,7 +260,11 @@ void Router::start() {
     }
     backend.flusher = std::thread([this, bi] { flusher_loop(bi); });
   }
-  prober_ = std::thread([this] { prober_loop(); });
+  // The first health round finishes before any client is accepted, so
+  // the loads it reports are not inflated by the first requests.
+  std::promise<void> probed;
+  prober_ = std::thread([this, &probed] { prober_loop(&probed); });
+  probed.get_future().wait();
   monitor_ = std::thread([this] { monitor_loop(); });
   frames_.start_accepting();
 }
@@ -321,10 +329,6 @@ void Router::stop() {
 
   // 6. Unblock and reap the client connections.
   frames_.close_connections();
-  {
-    std::lock_guard<std::mutex> lock(coalesce_mutex_);
-    coalesce_groups_.clear();
-  }
   instruments_.pending.set(0.0);
 }
 
@@ -332,192 +336,162 @@ void Router::stop() {
 
 void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
                             Request request) {
-  if (std::holds_alternative<StatsRequest>(request)) {
-    answer_stats(conn, std::get<StatsRequest>(request));
-    return;
-  }
-  instruments_.requests.add();
-  const std::uint64_t client_id =
-      std::visit([](const auto& r) { return r.request_id; }, request);
-  if (draining_.load(std::memory_order_acquire)) {
-    instruments_.rejected_shutdown.add();
-    frames_.reject(conn, client_id, ErrorCode::kShuttingDown,
-                   "router is draining");
-    return;
-  }
-
-  if (std::holds_alternative<RefPutRequest>(request)) {
-    route_ref_put(conn, std::move(std::get<RefPutRequest>(request)));
-    return;
-  }
-
   auto op = std::make_shared<PendingOp>();
   op->id = next_op_id();
   op->client = conn;
-  op->client_id = client_id;
+  op->client_id = service::request_id(request);
   op->arrival = std::chrono::steady_clock::now();
-
-  if (auto* align = std::get_if<AlignRequest>(&request)) {
-    op->deadline_ms = align->deadline_ms;
-    op->cells = service::estimated_cells(*align);
-    align->request_id = op->id;
-  } else if (auto* search = std::get_if<SearchRequest>(&request)) {
-    op->deadline_ms = search->deadline_ms;
-    op->cells = service::estimated_cells(*search);
-    search->request_id = op->id;
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto it = refs_.find(search->ref_id);
-      if (it == refs_.end()) {
-        frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
-                       "reference id " + std::to_string(search->ref_id) +
-                           " is not registered with the router");
-        return;
-      }
-      op->ref_ids = it->second;
-    }
-    op->eligible.reserve(op->ref_ids.size());
-    for (const auto& [backend, local_id] : op->ref_ids) {
-      op->eligible.push_back(backend);
-    }
-  } else if (auto* begin = std::get_if<SeqBeginRequest>(&request)) {
-    // A new session pins to one rendezvous-chosen backend (the client may
-    // steer co-location with `placement`); a resume re-uses the recorded
-    // route so the retried BEGIN reaches the backend holding the bytes.
-    const std::uint64_t key =
-        begin->placement != 0 ? begin->placement : begin->upload_token;
-    std::size_t backend = shard_map_.replicas(key).front();
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto route = upload_routes_.find(begin->upload_token);
-      if (route != upload_routes_.end()) {
-        backend = route->second.backend;
-        route->second.last_used = op->arrival;
-      } else {
-        upload_routes_.emplace(begin->upload_token,
-                               UploadRoute{backend, op->arrival});
-        instruments_.upload_placements.set(
-            static_cast<double>(upload_routes_.size()));
-      }
-    }
-    op->pinned = true;
-    op->eligible = {backend};
-    op->channel_pin = static_cast<int>(begin->upload_token %
-                                       config_.channels_per_backend);
-    begin->request_id = op->id;
-  } else if (auto* chunk = std::get_if<SeqChunkRequest>(&request)) {
-    std::size_t backend = 0;
-    bool routed = false;
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto route = upload_routes_.find(chunk->upload_token);
-      if (route != upload_routes_.end()) {
-        backend = route->second.backend;
-        route->second.last_used = op->arrival;
-        routed = true;
-      }
-    }
-    if (!routed) {
-      instruments_.bad_requests.add();
-      frames_.reject(conn, client_id, ErrorCode::kBadRequest,
-                     "unknown upload token " +
-                         std::to_string(chunk->upload_token) +
-                         " (send SEQ_BEGIN first)");
-      return;
-    }
-    op->pinned = true;
-    op->eligible = {backend};
-    op->channel_pin = static_cast<int>(chunk->upload_token %
-                                       config_.channels_per_backend);
-    chunk->request_id = op->id;
-  } else if (auto* end = std::get_if<SeqEndRequest>(&request)) {
-    std::size_t backend = 0;
-    bool routed = false;
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto route = upload_routes_.find(end->upload_token);
-      if (route != upload_routes_.end()) {
-        backend = route->second.backend;
-        route->second.last_used = op->arrival;
-        routed = true;
-      }
-    }
-    if (!routed) {
-      instruments_.bad_requests.add();
-      frames_.reject(conn, client_id, ErrorCode::kBadRequest,
-                     "unknown upload token " +
-                         std::to_string(end->upload_token) +
-                         " (send SEQ_BEGIN first)");
-      return;
-    }
-    op->pinned = true;
-    op->eligible = {backend};
-    op->channel_pin = static_cast<int>(end->upload_token %
-                                       config_.channels_per_backend);
-    end->request_id = op->id;
-  } else if (auto* by_ref = std::get_if<AlignRefRequest>(&request)) {
-    op->deadline_ms = by_ref->deadline_ms;
-    op->pinned = true;  // the response may stream; one backend, one shot
-    by_ref->request_id = op->id;
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto a_it = refs_.find(by_ref->ref_a);
-      if (a_it == refs_.end()) {
-        frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
-                       "reference id " + std::to_string(by_ref->ref_a) +
-                           " is not registered with the router");
-        return;
-      }
-      op->ref_ids = a_it->second;
-      if (by_ref->ref_b != 0) {
-        const auto b_it = refs_.find(by_ref->ref_b);
-        if (b_it == refs_.end()) {
-          frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
-                         "reference id " + std::to_string(by_ref->ref_b) +
-                             " is not registered with the router");
-          return;
-        }
-        op->ref_ids_b = b_it->second;
-      }
-    }
-    // Eligible = backends holding ref_a, intersected with ref_b's
-    // placements when both are handles — the pair must be co-located.
-    for (const auto& [backend, local_id] : op->ref_ids) {
-      if (by_ref->ref_b != 0) {
-        const bool has_b = std::any_of(
-            op->ref_ids_b.begin(), op->ref_ids_b.end(),
-            [backend = backend](const auto& p) { return p.first == backend; });
-        if (!has_b) continue;
-      }
-      op->eligible.push_back(backend);
-    }
-    if (op->eligible.empty()) {
-      frames_.reject(conn, client_id, ErrorCode::kRefNotFound,
-                     "references " + std::to_string(by_ref->ref_a) + " and " +
-                         std::to_string(by_ref->ref_b) +
-                         " share no backend placement");
-      return;
-    }
-  } else {
-    // A client-built ALIGN_BATCH passes through as one unit: routed
-    // least-loaded, never re-coalesced.
-    auto& batch = std::get<AlignBatchRequest>(request);
-    op->cells = service::estimated_cells(batch);
-    batch.request_id = op->id;
-    for (AlignRequest& job : batch.jobs) {
-      if (job.request_id == 0) job.request_id = op->id;
-    }
-  }
+  op->deadline_ms = service::deadline_ms(request);
+  // One arm per verb. An arm returns true when `op` is routed and ready
+  // to forward, false when it answered the client itself.
+  const bool forward = std::visit(
+      service::Overloaded{
+          [&](const StatsRequest& stats) {
+            answer_stats(conn, stats);
+            return false;
+          },
+          [&](const RefListRequest&) {
+            // Never forwarded: a backend answers with its own local ids,
+            // which name nothing at router scope.
+            if (admit(*op)) {
+              refuse(*op, ErrorCode::kBadRequest,
+                     "REF_LIST is not served by the router: backend handle "
+                     "ids are local to each backend");
+            }
+            return false;
+          },
+          [&](RefPutRequest& put) {
+            if (admit(*op)) route_ref_put(conn, std::move(put));
+            return false;
+          },
+          [&](const AlignRequest&) { return admit(*op); },
+          [&](AlignBatchRequest& batch) {
+            // A client-built batch is routed as one unit; jobs the client
+            // left unnumbered answer under the batch's router id.
+            if (!admit(*op)) return false;
+            for (AlignRequest& job : batch.jobs) {
+              if (job.request_id == 0) job.request_id = op->id;
+            }
+            return true;
+          },
+          [&](const SearchRequest& search) {
+            return admit(*op) && place_on_refs(*op, search.ref_id, 0);
+          },
+          [&](const AlignRefRequest& by_ref) {
+            // The response may stream: one backend, one shot.
+            op->pinned = true;
+            return admit(*op) &&
+                   place_on_refs(*op, by_ref.ref_a, by_ref.ref_b);
+          },
+          [&](const SeqBeginRequest& begin) {
+            // A new session pins to one rendezvous-chosen backend (the
+            // client may steer co-location with `placement`); a resume
+            // re-uses the recorded route so the retried BEGIN reaches the
+            // backend holding the bytes.
+            const std::uint64_t key =
+                begin.placement != 0 ? begin.placement : begin.upload_token;
+            return admit(*op) &&
+                   pin_upload(*op, begin.upload_token,
+                              shard_map_.replicas(key).front());
+          },
+          [&](const SeqChunkRequest& chunk) {
+            return admit(*op) && pin_upload(*op, chunk.upload_token);
+          },
+          [&](const SeqEndRequest& end) {
+            op->seals_upload = true;
+            return admit(*op) && pin_upload(*op, end.upload_token);
+          },
+      },
+      request);
+  if (!forward) return;
+  service::request_id(request) = op->id;
   op->request = std::move(request);
 
   const int backend = pick_backend(op->eligible, -1);
   if (backend < 0) {
     instruments_.rejected_overloaded.add();
-    frames_.reject(conn, client_id, ErrorCode::kOverloaded,
-                   "no healthy backend available");
+    refuse(*op, ErrorCode::kOverloaded, "no healthy backend available");
     return;
   }
   dispatch(std::move(op), static_cast<std::size_t>(backend));
+}
+
+bool Router::admit(const PendingOp& op) {
+  instruments_.requests.add();
+  if (!draining_.load(std::memory_order_acquire)) return true;
+  instruments_.rejected_shutdown.add();
+  refuse(op, ErrorCode::kShuttingDown, "router is draining");
+  return false;
+}
+
+void Router::refuse(const PendingOp& op, ErrorCode code,
+                    const std::string& message) {
+  if (code == ErrorCode::kBadRequest) instruments_.bad_requests.add();
+  frames_.reject(op.client, op.client_id, code, message);
+}
+
+bool Router::place_on_refs(PendingOp& op, std::uint64_t ref_a,
+                           std::uint64_t ref_b) {
+  std::uint64_t missing = 0;
+  {
+    std::lock_guard<std::mutex> lock(refs_mutex_);
+    const auto a_it = refs_.find(ref_a);
+    const auto b_it = ref_b != 0 ? refs_.find(ref_b) : refs_.end();
+    if (a_it == refs_.end()) {
+      missing = ref_a;
+    } else if (ref_b != 0 && b_it == refs_.end()) {
+      missing = ref_b;
+    } else {
+      op.ref_ids = a_it->second;
+      if (ref_b != 0) op.ref_ids_b = b_it->second;
+    }
+  }
+  if (missing != 0) {
+    refuse(op, ErrorCode::kRefNotFound,
+           "reference id " + std::to_string(missing) +
+               " is not registered with the router");
+    return false;
+  }
+  // Eligible = backends holding ref_a, intersected with ref_b's
+  // placements when both are handles — the pair must be co-located.
+  for (const auto& [backend, local_id] : op.ref_ids) {
+    if (ref_b == 0 || local_ref_id(op.ref_ids_b, backend) != 0) {
+      op.eligible.push_back(backend);
+    }
+  }
+  if (op.eligible.empty()) {
+    refuse(op, ErrorCode::kRefNotFound,
+           "references " + std::to_string(ref_a) + " and " +
+               std::to_string(ref_b) + " share no backend placement");
+    return false;
+  }
+  return true;
+}
+
+bool Router::pin_upload(PendingOp& op, std::uint64_t token,
+                        std::optional<std::size_t> open_on) {
+  {
+    std::lock_guard<std::mutex> lock(refs_mutex_);
+    auto route = upload_routes_.find(token);
+    if (route == upload_routes_.end() && open_on) {
+      route = upload_routes_.emplace(token, UploadRoute{*open_on, {}}).first;
+      instruments_.upload_placements.set(
+          static_cast<double>(upload_routes_.size()));
+    }
+    if (route != upload_routes_.end()) {
+      route->second.last_used = op.arrival;
+      op.eligible = {route->second.backend};
+    }
+  }
+  if (op.eligible.empty()) {
+    refuse(op, ErrorCode::kBadRequest,
+           "unknown upload token " + std::to_string(token) +
+               " (send SEQ_BEGIN first)");
+    return false;
+  }
+  op.pinned = true;
+  op.channel_pin = static_cast<int>(token % config_.channels_per_backend);
+  return true;
 }
 
 void Router::route_ref_put(const std::shared_ptr<ClientConn>& conn,
@@ -612,188 +586,84 @@ int Router::pick_backend(const std::vector<std::size_t>& eligible,
 
 void Router::dispatch(std::shared_ptr<PendingOp> op, std::size_t backend) {
   const std::uint64_t id = op->id;
-  const auto client = op->client;
-  const std::uint64_t client_id = op->client_id;
-  const auto agg = op->agg;
+  op->client->in_flight.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     pending_.emplace(id, std::move(op));
     instruments_.pending.set(static_cast<double>(pending_.size()));
   }
-  client->in_flight.fetch_add(1, std::memory_order_acq_rel);
   switch (backends_[backend]->outbound.try_push(id)) {
     case service::BoundedQueue<std::uint64_t>::Push::kAccepted:
       return;
     case service::BoundedQueue<std::uint64_t>::Push::kFull:
       instruments_.rejected_overloaded.add();
-      complete_error(id, ErrorCode::kOverloaded,
-                     "backend queue full (" +
-                         std::to_string(backends_[backend]->outbound.capacity()) +
-                         " entries)");
+      complete_error(
+          id, ErrorCode::kOverloaded,
+          "backend queue full (" +
+              std::to_string(backends_[backend]->outbound.capacity()) +
+              " entries)");
       return;
     case service::BoundedQueue<std::uint64_t>::Push::kClosed:
       instruments_.rejected_shutdown.add();
       complete_error(id, ErrorCode::kShuttingDown, "router is draining");
       return;
   }
-  (void)client_id;
-  (void)agg;
 }
 
-// ---- Backend flusher (coalescing) --------------------------------------
+// ---- Backend flusher --------------------------------------------------
 
 void Router::flusher_loop(std::size_t backend_index) {
   Backend& backend = *backends_[backend_index];
-  while (auto first = backend.outbound.pop()) {
-    std::vector<std::uint64_t> group;
-    group.push_back(*first);
-    // Admission-time coalescing: whatever else is already waiting in this
-    // backend's queue is folded into the same flush (bounded), so one
-    // write carries many small jobs and one backend worker runs them back
-    // to back on a warm Aligner.
-    while (group.size() < config_.coalesce_max_jobs) {
-      auto more = backend.outbound.try_pop();
-      if (!more) break;
-      group.push_back(*more);
-    }
-
-    // Classify under the pending lock; build every frame there too (the
-    // ops' deadline fields are rewritten with their remaining budgets).
-    struct Frame {
-      std::string payload;
-      std::vector<std::uint64_t> ids;
-      /// Nonzero for a coalesced batch: the throwaway envelope id its
-      /// coalesce_groups_ entry is registered under.
-      std::uint64_t envelope = 0;
-      /// Channel restriction (-1 = any) — see PendingOp::channel_pin.
-      int channel_pin = -1;
-    };
-    std::vector<Frame> frames;
-    std::vector<std::uint64_t> expired;
-    std::vector<AlignRequest> batch_jobs;
-    std::vector<std::uint64_t> batch_ids;
-    const auto now = std::chrono::steady_clock::now();
+  while (const auto id = backend.outbound.pop()) {
+    bool expired = false;
+    std::string payload;
+    int channel_pin = -1;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      for (const std::uint64_t id : group) {
-        const auto it = pending_.find(id);
-        if (it == pending_.end()) continue;  // already answered elsewhere
-        PendingOp& op = *it->second;
-        const std::int64_t budget =
-            remaining_deadline_ms(op.deadline_ms, op.arrival, now);
-        if (budget == 0) {
-          expired.push_back(id);
-          continue;
-        }
+      const auto it = pending_.find(*id);
+      if (it == pending_.end()) continue;  // already answered elsewhere
+      PendingOp& op = *it->second;
+      const std::int64_t budget = remaining_deadline_ms(
+          op.deadline_ms, op.arrival, std::chrono::steady_clock::now());
+      expired = budget == 0;
+      if (!expired) {
         op.attempts += 1;
         op.last_backend = static_cast<int>(backend_index);
         instruments_.forwarded.add();
-
-        if (auto* align = std::get_if<AlignRequest>(&op.request)) {
-          AlignRequest job = *align;
-          if (budget > 0) job.deadline_ms = static_cast<std::uint32_t>(budget);
-          const bool coalescible = config_.coalesce_max_jobs > 1 &&
-                                   op.cells <= config_.coalesce_max_cells;
-          if (coalescible) {
-            op.batched = true;
-            batch_jobs.push_back(std::move(job));
-            batch_ids.push_back(id);
-          } else {
-            frames.push_back({service::encode(job), {id}});
-          }
-        } else if (auto* search = std::get_if<SearchRequest>(&op.request)) {
-          SearchRequest job = *search;
-          if (budget > 0) job.deadline_ms = static_cast<std::uint32_t>(budget);
-          // Rewrite to this backend's local reference id.
-          for (const auto& [be, local_id] : op.ref_ids) {
-            if (be == backend_index) {
-              job.ref_id = local_id;
-              break;
-            }
-          }
-          frames.push_back({service::encode(job), {id}});
-        } else if (auto* ref_put = std::get_if<RefPutRequest>(&op.request)) {
-          frames.push_back({service::encode(*ref_put), {id}});
-        } else if (auto* begin = std::get_if<SeqBeginRequest>(&op.request)) {
-          frames.push_back(
-              {service::encode(*begin), {id}, 0, op.channel_pin});
-        } else if (auto* chunk = std::get_if<SeqChunkRequest>(&op.request)) {
-          frames.push_back(
-              {service::encode(*chunk), {id}, 0, op.channel_pin});
-        } else if (auto* end = std::get_if<SeqEndRequest>(&op.request)) {
-          frames.push_back({service::encode(*end), {id}, 0, op.channel_pin});
-        } else if (auto* by_ref = std::get_if<AlignRefRequest>(&op.request)) {
-          AlignRefRequest job = *by_ref;
-          if (budget > 0) job.deadline_ms = static_cast<std::uint32_t>(budget);
-          // Rewrite both handles to this backend's local reference ids.
-          for (const auto& [be, local_id] : op.ref_ids) {
-            if (be == backend_index) {
-              job.ref_a = local_id;
-              break;
-            }
-          }
-          for (const auto& [be, local_id] : op.ref_ids_b) {
-            if (be == backend_index) {
-              job.ref_b = local_id;
-              break;
-            }
-          }
-          frames.push_back({service::encode(job), {id}});
-        } else {
-          auto& batch = std::get<AlignBatchRequest>(op.request);
-          frames.push_back({service::encode(batch), {id}});
-        }
-      }
-      if (batch_ids.size() == 1) {
-        // A lone coalescible job travels as a plain ALIGN.
-        pending_.at(batch_ids.front())->batched = false;
-        frames.push_back(
-            {service::encode(batch_jobs.front()), {batch_ids.front()}});
-        batch_jobs.clear();
-        batch_ids.clear();
-      } else if (!batch_ids.empty()) {
-        AlignBatchRequest envelope;
-        envelope.request_id = next_op_id();  // not a pending op: the items
-                                             // carry the real router ids
-        envelope.jobs = std::move(batch_jobs);
-        instruments_.coalesced_batches.add();
-        instruments_.coalesced_jobs.add(batch_ids.size());
-        {
-          // Registered before the send so a whole-frame admission error
-          // (a plain ERROR naming the envelope id) can find its members.
-          std::lock_guard<std::mutex> coalesce_lock(coalesce_mutex_);
-          coalesce_groups_.emplace(envelope.request_id, batch_ids);
-        }
-        frames.push_back(
-            {service::encode(envelope), batch_ids, envelope.request_id});
+        payload = encode_for(op, backend_index, budget);
+        channel_pin = op.channel_pin;
       }
     }
-
-    for (const std::uint64_t id : expired) {
+    if (expired) {
       instruments_.rejected_deadline.add();
-      complete_error(id, ErrorCode::kDeadlineExceeded,
+      complete_error(*id, ErrorCode::kDeadlineExceeded,
                      "deadline budget exhausted before forwarding");
-    }
-    for (Frame& frame : frames) {
-      if (!send_on_backend(backend_index, frame.payload, frame.ids,
-                           frame.channel_pin)) {
-        if (frame.envelope != 0) {
-          std::lock_guard<std::mutex> coalesce_lock(coalesce_mutex_);
-          coalesce_groups_.erase(frame.envelope);
-        }
-        for (const std::uint64_t id : frame.ids) {
-          fail_over(id, "backend " + backend.endpoint.host + ":" +
-                            std::to_string(backend.endpoint.port) +
-                            " unreachable");
-        }
-      }
+    } else if (!send_on_backend(backend_index, payload, *id, channel_pin)) {
+      fail_over(*id, "backend " + backend.endpoint.host + ":" +
+                         std::to_string(backend.endpoint.port) +
+                         " unreachable");
     }
   }
 }
 
+std::string Router::encode_for(const PendingOp& op, std::size_t backend,
+                               std::int64_t budget) const {
+  Request request = op.request;
+  if (budget > 0) {
+    service::set_deadline_ms(request, static_cast<std::uint32_t>(budget));
+  }
+  // Handles travel as this backend's own local ids.
+  if (auto* search = std::get_if<SearchRequest>(&request)) {
+    search->ref_id = local_ref_id(op.ref_ids, backend);
+  } else if (auto* by_ref = std::get_if<AlignRefRequest>(&request)) {
+    by_ref->ref_a = local_ref_id(op.ref_ids, backend);
+    by_ref->ref_b = local_ref_id(op.ref_ids_b, backend);
+  }
+  return service::encode(request);
+}
+
 bool Router::send_on_backend(std::size_t backend_index,
-                             const std::string& payload,
-                             const std::vector<std::uint64_t>& ids,
+                             const std::string& payload, std::uint64_t id,
                              int channel_pin) {
   Backend& backend = *backends_[backend_index];
   const std::size_t channels = backend.channels.size();
@@ -817,10 +687,9 @@ bool Router::send_on_backend(std::size_t backend_index,
         // Outstanding before the write: a response cannot overtake its
         // own registration.
         std::lock_guard<std::mutex> out_lock(channel.outstanding_mutex);
-        for (const std::uint64_t id : ids) channel.outstanding.insert(id);
+        channel.outstanding.insert(id);
       }
-      backend.in_flight.fetch_add(static_cast<std::int64_t>(ids.size()),
-                                  std::memory_order_acq_rel);
+      backend.in_flight.fetch_add(1, std::memory_order_acq_rel);
       try {
         wrote = service::write_frame(channel.fd, payload);
       } catch (const std::exception&) {
@@ -828,9 +697,8 @@ bool Router::send_on_backend(std::size_t backend_index,
       }
       if (!wrote) {
         std::lock_guard<std::mutex> out_lock(channel.outstanding_mutex);
-        for (const std::uint64_t id : ids) channel.outstanding.erase(id);
-        backend.in_flight.fetch_sub(static_cast<std::int64_t>(ids.size()),
-                                    std::memory_order_acq_rel);
+        channel.outstanding.erase(id);
+        backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
         died = true;
       }
     }
@@ -870,53 +738,12 @@ void Router::channel_loop(std::size_t backend_index,
     try {
       while (service::read_frame(channel.fd, &payload)) {
         Response response = service::decode_response(payload);
-        if (auto* batch = std::get_if<AlignBatchResponse>(&response)) {
-          // Two batch shapes come back here. A client-built pass-through
-          // batch was sent under its op's own id (outstanding holds the
-          // envelope id; the items carry the client's job ids) and
-          // completes as one unit. A router-coalesced batch used a
-          // throwaway envelope id — the *items* echo the member ops'
-          // router ids and demux individually.
-          bool pass_through = false;
-          {
-            std::lock_guard<std::mutex> lock(channel.outstanding_mutex);
-            if (channel.outstanding.erase(batch->request_id) != 0) {
-              backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-              pass_through = true;
-            }
-          }
-          if (pass_through) {
-            const std::uint64_t id = batch->request_id;
-            complete(id, std::move(response),
-                     static_cast<int>(backend_index));
-          } else {
-            {
-              std::lock_guard<std::mutex> lock(coalesce_mutex_);
-              coalesce_groups_.erase(batch->request_id);
-            }
-            for (service::BatchItem& item : batch->items) {
-              const std::uint64_t sub_id = std::visit(
-                  [](const auto& r) { return r.request_id; }, item);
-              {
-                std::lock_guard<std::mutex> lock(channel.outstanding_mutex);
-                if (channel.outstanding.erase(sub_id) != 0) {
-                  backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-                }
-              }
-              std::visit(
-                  [&](auto& r) {
-                    complete(sub_id, Response(std::move(r)),
-                             static_cast<int>(backend_index));
-                  },
-                  item);
-            }
-          }
-        } else if (auto* part = std::get_if<AlignPartResponse>(&response);
-                   part != nullptr && !part->last) {
+        const std::uint64_t id = service::request_id(response);
+        if (const auto* part = std::get_if<AlignPartResponse>(&response);
+            part != nullptr && !part->last) {
           // A non-final ALIGN_PART frame: forward it to the origin client
           // with its request id restored, but keep the op pending and
           // outstanding — the stream completes only on the last frame.
-          const std::uint64_t id = part->request_id;
           std::shared_ptr<PendingOp> op;
           {
             std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -930,51 +757,15 @@ void Router::channel_loop(std::size_t backend_index,
               instruments_.write_errors.add();
             }
           }
-        } else {
-          const std::uint64_t id = response_id(response);
-          std::vector<std::uint64_t> members;
-          {
-            std::lock_guard<std::mutex> lock(coalesce_mutex_);
-            const auto group = coalesce_groups_.find(id);
-            if (group != coalesce_groups_.end()) {
-              members = std::move(group->second);
-              coalesce_groups_.erase(group);
-            }
-          }
-          if (!members.empty()) {
-            // The backend refused the whole coalesced frame at admission
-            // (OVERLOADED, SHUTTING_DOWN, BAD_REQUEST...) — none of the
-            // member jobs ran. Answer each through the normal completion
-            // path, which re-fires retryable rejections on another
-            // backend instead of bouncing them to clients.
-            const auto* error = std::get_if<ErrorResponse>(&response);
-            for (const std::uint64_t member : members) {
-              {
-                std::lock_guard<std::mutex> lock(channel.outstanding_mutex);
-                if (channel.outstanding.erase(member) != 0) {
-                  backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-                }
-              }
-              ErrorResponse item;
-              item.request_id = member;
-              item.code = error ? error->code : ErrorCode::kInternal;
-              item.message = error ? error->message
-                                   : "coalesced batch answered with an "
-                                     "unexpected verb";
-              complete(member, Response(std::move(item)),
-                       static_cast<int>(backend_index));
-            }
-            continue;
-          }
-          {
-            std::lock_guard<std::mutex> lock(channel.outstanding_mutex);
-            if (channel.outstanding.erase(id) != 0) {
-              backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-            }
-          }
-          complete(id, std::move(response),
-                   static_cast<int>(backend_index));
+          continue;
         }
+        {
+          std::lock_guard<std::mutex> lock(channel.outstanding_mutex);
+          if (channel.outstanding.erase(id) != 0) {
+            backend.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+          }
+        }
+        complete(id, std::move(response), static_cast<int>(backend_index));
       }
       fail_channel(backend_index, channel, "backend closed the connection");
     } catch (const std::exception& e) {
@@ -1003,19 +794,6 @@ void Router::fail_channel(std::size_t backend_index, Channel& channel,
   Backend& backend = *backends_[backend_index];
   backend.in_flight.fetch_sub(static_cast<std::int64_t>(orphans.size()),
                               std::memory_order_acq_rel);
-  if (!orphans.empty()) {
-    // A coalesced frame travels on exactly one channel, so a group with
-    // any member orphaned here died with this channel — drop its entry
-    // (the members themselves fail over individually below).
-    const std::set<std::uint64_t> swept(orphans.begin(), orphans.end());
-    std::lock_guard<std::mutex> lock(coalesce_mutex_);
-    for (auto it = coalesce_groups_.begin(); it != coalesce_groups_.end();) {
-      const bool hit = std::any_of(
-          it->second.begin(), it->second.end(),
-          [&](std::uint64_t member) { return swept.count(member) != 0; });
-      it = hit ? coalesce_groups_.erase(it) : std::next(it);
-    }
-  }
   const std::string reason =
       "backend " + backend.endpoint.host + ":" +
       std::to_string(backend.endpoint.port) + " channel failed: " + why;
@@ -1042,7 +820,6 @@ void Router::fail_over(std::uint64_t id, const std::string& why) {
         target = pick_backend(op.eligible, op.last_backend);
       }
     }
-    if (target >= 0) op.batched = false;  // resent as a single
   }
   if (target >= 0) {
     instruments_.failovers.add();
@@ -1078,7 +855,6 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
       if (budget != 0) {
         refire_target = pick_backend(op->eligible, from_backend);
       }
-      if (refire_target >= 0) op->batched = false;
     }
     if (refire_target < 0) {
       pending_.erase(it);
@@ -1106,7 +882,7 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
   // A sealed upload: the backend answered SEQ_END with its local ref id.
   // Install a router id for it (single placement — streamed uploads are
   // not replicated) and rewrite the answer; clients only see router ids.
-  if (std::holds_alternative<SeqEndRequest>(op->request)) {
+  if (op->seals_upload) {
     if (auto* ok = std::get_if<SeqOkResponse>(&response);
         ok != nullptr && ok->ref_id != 0 && from_backend >= 0) {
       const std::uint64_t router_ref_id =
@@ -1130,8 +906,8 @@ void Router::complete(std::uint64_t id, Response response, int from_backend) {
         1e-3);
   }
   instruments_.completed.add();
-  set_response_id(response, op->client_id);
-  if (!frames_.respond(op->client, encode_response(response))) {
+  service::request_id(response) = op->client_id;
+  if (!frames_.respond(op->client, service::encode(response))) {
     instruments_.write_errors.add();
   }
 }
@@ -1267,7 +1043,7 @@ void Router::sweep_upload_routes(std::chrono::steady_clock::time_point now) {
 
 // ---- Health prober -----------------------------------------------------
 
-void Router::prober_loop() {
+void Router::prober_loop(std::promise<void>* probed) {
   std::vector<service::Client> probers(backends_.size());
   while (!draining_.load(std::memory_order_acquire)) {
     for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -1314,6 +1090,10 @@ void Router::prober_loop() {
       if (backend->healthy.load(std::memory_order_acquire)) ++healthy;
     }
     instruments_.backends_healthy.set(static_cast<double>(healthy));
+    if (probed != nullptr) {
+      probed->set_value();
+      probed = nullptr;
+    }
     if (!interruptible_sleep(config_.health_interval_ms, draining_)) return;
   }
 }

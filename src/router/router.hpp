@@ -8,13 +8,14 @@
 //                        frames, then here assign a router-wide id,
 //                        register a PendingOp, and push the id onto the
 //                        chosen backend's outbound queue
-//   backend flushers     one per backend: pop ids, coalesce small queued
-//                        ALIGNs into one ALIGN_BATCH frame, and write on a
-//                        pipelined channel
-//   channel readers      one per backend connection: read responses,
-//                        demux batch items, complete PendingOps (write the
-//                        answer to the origin client with the original
-//                        request_id restored)
+//   backend flushers     one per backend: pop ids and forward each op as
+//                        one frame on a pipelined channel, its deadline
+//                        cut to the budget left and its handles mapped to
+//                        that backend's local ids
+//   channel readers      one per backend connection: read responses and
+//                        complete PendingOps (write the answer to the
+//                        origin client with the original request_id
+//                        restored)
 //   health prober        polls every backend with STATS; ejects/readmits
 //                        and feeds queue-depth/in-flight gauges into
 //                        least-loaded routing
@@ -33,16 +34,19 @@
 //                replication is accepted and counted)
 //   SEQ_*        pinned to one rendezvous-chosen backend per upload token
 //                (chunks of a session must land on one store, in order:
-//                the frames also stick to one channel), never
-//                coalesced or failed over; the SEQ_END answer's backend-
-//                local ref id is rewritten to a fresh router id
+//                the frames also stick to one channel), never failed
+//                over; the SEQ_END answer's backend-local ref id is
+//                rewritten to a fresh router id
 //   ALIGN_REF    eligible backends are those holding *both* referenced
 //                handles (intersection of their placements); ref ids are
-//                rewritten per backend; never coalesced, and
-//                never failed over (the response may already be streaming
-//                in ALIGN_PART frames — non-last parts are forwarded to
-//                the client as they arrive, the last one completes the op)
+//                rewritten per backend; never failed over (the response
+//                may already be streaming in ALIGN_PART frames — non-last
+//                parts are forwarded to the client as they arrive, the
+//                last one completes the op)
+//   ALIGN_BATCH  a client-built batch, routed least-loaded as one unit
 //   STATS        answered locally from the router's own registry
+//   REF_LIST     answered BAD_REQUEST locally: a backend would list its
+//                own local ids, which name nothing at router scope
 //
 // Deadlines: the router re-computes the remaining budget (original
 // deadline minus time since arrival) at every (re)send and answers
@@ -51,17 +55,18 @@
 //
 // Failure handling: a dead channel or a retryable typed error fails the
 // op over to another healthy backend (bounded attempts); non-retryable
-// errors are forwarded as-is. Batched jobs fail over individually as
-// singles. REF_PUT never fails over (re-sending after an ambiguous
-// failure could register twice).
+// errors are forwarded as-is. REF_PUT never fails over (re-sending after
+// an ambiguous failure could register twice).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,13 +105,6 @@ struct RouterConfig {
   /// Arm the obs registry on start().
   bool enable_metrics = true;
 
-  // ---- Coalescing ------------------------------------------------------
-  /// Most jobs folded into one ALIGN_BATCH frame (1 disables coalescing).
-  std::size_t coalesce_max_jobs = 8;
-  /// Only ALIGNs at most this many DPM cells are coalesced — a big job
-  /// gains nothing from amortization and would delay its batch mates.
-  std::uint64_t coalesce_max_cells = std::uint64_t{1} << 20;
-
   // ---- Failover / health ----------------------------------------------
   /// Total sends per op (first try + failovers).
   unsigned max_attempts = 3;
@@ -132,9 +130,10 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Connects the backend pool, binds the listen socket, and spawns all
-  /// threads. Throws std::runtime_error when no backend is reachable or
-  /// the socket setup fails.
+  /// Connects the backend pool, binds the listen socket, spawns all
+  /// threads and runs the first health round before accepting clients.
+  /// Throws std::runtime_error when no backend is reachable or the socket
+  /// setup fails.
   void start();
 
   /// Graceful drain: stops admission, waits (bounded) for in-flight ops,
@@ -161,16 +160,40 @@ class Router {
   struct RefPutAgg;
   struct PendingOp;
 
+  /// The verb table: one std::visit with an arm per verb that either
+  /// answers the client locally or routes the op and dispatches it.
   void handle_request(const std::shared_ptr<ClientConn>& conn,
                       service::Request request);
+  /// Counts the request; answers SHUTTING_DOWN (false) while draining.
+  bool admit(const PendingOp& op);
+  /// Answers `op`'s client locally with a typed error (BAD_REQUEST counts
+  /// in router.bad_requests).
+  void refuse(const PendingOp& op, service::ErrorCode code,
+              const std::string& message);
+  /// Resolves router handle `ref_a` (and `ref_b`, when nonzero) to their
+  /// placements and makes `op` eligible where both live; answers
+  /// REF_NOT_FOUND (false) otherwise.
+  bool place_on_refs(PendingOp& op, std::uint64_t ref_a,
+                     std::uint64_t ref_b);
+  /// Pins `op` to the backend and channel of upload `token`. `open_on`
+  /// (SEQ_BEGIN) creates the route there when none exists; without it an
+  /// unknown token answers BAD_REQUEST (false).
+  bool pin_upload(PendingOp& op, std::uint64_t token,
+                  std::optional<std::size_t> open_on = std::nullopt);
   void route_ref_put(const std::shared_ptr<ClientConn>& conn,
                      service::RefPutRequest request);
   void answer_stats(const std::shared_ptr<ClientConn>& conn,
                     const service::StatsRequest& request);
 
   void flusher_loop(std::size_t backend_index);
+  /// `op`'s request as sent to `backend`: the deadline cut to `budget` ms
+  /// (when it has one) and router handles mapped to that backend's ids.
+  std::string encode_for(const PendingOp& op, std::size_t backend,
+                         std::int64_t budget) const;
   void channel_loop(std::size_t backend_index, std::size_t channel_index);
-  void prober_loop();
+  /// Health rounds every health_interval_ms; `probed` is set once the
+  /// first round is done.
+  void prober_loop(std::promise<void>* probed);
   void monitor_loop();
 
   /// Least-loaded healthy backend among `eligible` (all when empty);
@@ -183,14 +206,13 @@ class Router {
   void dispatch(std::shared_ptr<PendingOp> op, std::size_t backend);
 
   /// Sends one encoded frame on an open channel of `backend`, recording
-  /// `ids` as outstanding there first. Returns false when no channel
-  /// could be used (the backend is then marked unhealthy).
+  /// `id` as outstanding there first. Returns false when no channel could
+  /// be used (the backend is then marked unhealthy).
   /// `channel_pin` >= 0 restricts the send to that channel (mod the
   /// channel count) — upload chunks must not be striped across channels,
   /// or the backend sees them out of order on different connections.
   bool send_on_backend(std::size_t backend, const std::string& payload,
-                       const std::vector<std::uint64_t>& ids,
-                       int channel_pin = -1);
+                       std::uint64_t id, int channel_pin = -1);
 
   /// Channel death: mark it closed, collect its outstanding ids, and
   /// fail each over (or answer the client when attempts are exhausted).
@@ -225,8 +247,6 @@ class Router {
     obs::Counter& bad_requests;
     obs::Counter& internal_errors;
     obs::Counter& failovers;
-    obs::Counter& coalesced_batches;
-    obs::Counter& coalesced_jobs;
     obs::Counter& backend_ejected;
     obs::Counter& backend_readmitted;
     obs::Counter& ref_put_degraded;
@@ -254,16 +274,6 @@ class Router {
   /// contention is not the bottleneck at this tier's scale.
   std::mutex pending_mutex_;
   std::map<std::uint64_t, std::shared_ptr<PendingOp>> pending_;
-
-  /// In-flight coalesced batches: throwaway envelope id -> member router
-  /// ids. Normally the envelope's ALIGN_BATCH_OK items demux the members
-  /// and the entry dies with it — but a backend may refuse the *whole*
-  /// frame at admission (OVERLOADED, SHUTTING_DOWN, BAD_REQUEST) with a
-  /// plain ERROR naming the envelope id, and this map is how that error
-  /// finds the member ops to answer (or re-fire) instead of orphaning
-  /// them until the channel dies.
-  std::mutex coalesce_mutex_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> coalesce_groups_;
 
   /// router ref id -> per-backend placements (backend index, local id).
   std::mutex refs_mutex_;

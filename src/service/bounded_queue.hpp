@@ -52,17 +52,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop: returns nullopt immediately when the queue is
-  /// empty. Used by consumers that batch — pop() for the first item,
-  /// then try_pop() to coalesce whatever else is already waiting.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Stops admission; already-queued items still drain through pop().
   void close() {
     {

@@ -17,10 +17,6 @@ namespace service {
 
 namespace {
 
-std::uint64_t response_id(const Response& response) {
-  return std::visit([](const auto& r) { return r.request_id; }, response);
-}
-
 /// splitmix64 step — the jitter source for decorrelated backoff.
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
@@ -112,54 +108,14 @@ void Client::close() {
 
 std::uint64_t Client::next_id() { return ++last_id_; }
 
-template <typename RequestT>
-std::uint64_t Client::send_impl(RequestT request) {
+std::uint64_t Client::send(Request request) {
   FLSA_REQUIRE(connected());
-  if (request.request_id == 0) request.request_id = next_id();
+  std::uint64_t& id = request_id(request);
+  if (id == 0) id = next_id();
   if (!write_frame(fd_, encode(request))) {
     throw TransportError("server closed the connection");
   }
-  return request.request_id;
-}
-
-std::uint64_t Client::send(AlignRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(StatsRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(RefPutRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(SearchRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(AlignBatchRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(SeqBeginRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(SeqChunkRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(SeqEndRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(AlignRefRequest request) {
-  return send_impl(std::move(request));
-}
-
-std::uint64_t Client::send(RefListRequest request) {
-  return send_impl(std::move(request));
+  return id;
 }
 
 Response Client::receive() {
@@ -171,7 +127,7 @@ Response Client::receive() {
   return decode_response(payload);
 }
 
-Response Client::wait_for(std::uint64_t request_id) {
+Response Client::wait_for(std::uint64_t id) {
   Response response = receive();
   // Connection-scoped errors (id 0: unparseable frame, connection cap)
   // answer whatever is in flight — there is no request id to echo.
@@ -179,48 +135,19 @@ Response Client::wait_for(std::uint64_t request_id) {
       error != nullptr && error->request_id == 0) {
     return response;
   }
-  if (response_id(response) != request_id) {
+  if (request_id(response) != id) {
     throw std::runtime_error(
-        "out-of-order response (id " + std::to_string(response_id(response)) +
-        ", expected " + std::to_string(request_id) +
+        "out-of-order response (id " + std::to_string(request_id(response)) +
+        ", expected " + std::to_string(id) +
         "): call() must not be mixed with pipelined send()s");
   }
   return response;
 }
 
-Response Client::call(AlignRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(StatsRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(RefPutRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(SearchRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(AlignBatchRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(SeqBeginRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(SeqChunkRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(SeqEndRequest request) {
-  return wait_for(send(std::move(request)));
-}
-
-Response Client::call(RefListRequest request) {
+Response Client::call(Request request) {
+  if (auto* by_ref = std::get_if<AlignRefRequest>(&request)) {
+    return call(std::move(*by_ref));
+  }
   return wait_for(send(std::move(request)));
 }
 

@@ -78,36 +78,20 @@ class Client {
   void close();
 
   /// Fire-and-forget send (pipelining). Assigns the next request id when
-  /// request.request_id == 0 and returns the id actually sent. Throws
+  /// the request's id is 0 and returns the id actually sent. Throws
   /// TransportError when the server is gone.
-  std::uint64_t send(AlignRequest request);
-  std::uint64_t send(StatsRequest request);
-  std::uint64_t send(RefPutRequest request);
-  std::uint64_t send(SearchRequest request);
-  std::uint64_t send(AlignBatchRequest request);
-  std::uint64_t send(SeqBeginRequest request);
-  std::uint64_t send(SeqChunkRequest request);
-  std::uint64_t send(SeqEndRequest request);
-  std::uint64_t send(AlignRefRequest request);
-  std::uint64_t send(RefListRequest request);
+  std::uint64_t send(Request request);
 
   /// Blocks for the next response frame (any request id). Throws
   /// ProtocolError on malformed frames, TransportError when the server
   /// closed the connection (cleanly or mid-frame).
   Response receive();
 
-  /// Closed-loop helpers: send one request, wait for *its* response (by
+  /// Closed-loop helper: send one request, wait for *its* response (by
   /// request id; other pipelined responses arriving first are an error —
-  /// do not mix call() with pipelining on one connection).
-  Response call(AlignRequest request);
-  Response call(StatsRequest request);
-  Response call(RefPutRequest request);
-  Response call(SearchRequest request);
-  Response call(AlignBatchRequest request);
-  Response call(SeqBeginRequest request);
-  Response call(SeqChunkRequest request);
-  Response call(SeqEndRequest request);
-  Response call(RefListRequest request);
+  /// do not mix call() with pipelining on one connection). An ALIGN_REF
+  /// is reassembled as call(AlignRefRequest) describes.
+  Response call(Request request);
 
   /// Closed-loop ALIGN_REF with streamed-response reassembly: blocks
   /// until the last ALIGN_PART frame and returns a single
@@ -166,11 +150,9 @@ class Client {
 
  private:
   std::uint64_t next_id();
-  Response wait_for(std::uint64_t request_id);
+  Response wait_for(std::uint64_t id);
   /// Rotates the cursor to the next endpoint (no-op for a single one).
   void advance_endpoint();
-  template <typename RequestT>
-  std::uint64_t send_impl(RequestT request);
   template <typename RequestT>
   Response retry_impl(RequestT request, const RetryPolicy& policy);
 

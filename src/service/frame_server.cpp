@@ -221,8 +221,11 @@ void FrameServer::read_loop(const ConnectionPtr& connection) {
       reject(connection, 0, ErrorCode::kBadRequest, e.what());
       kill_connection(connection);
       break;
-    } catch (const std::exception&) {
-      break;  // another socket error, or the handler failed: stop reading
+    } catch (...) {
+      // Another socket error, or the handler failed: hang up, so the peer
+      // sees EOF instead of waiting on a socket nobody reads.
+      kill_connection(connection);
+      break;
     }
   }
   connection->finished.store(true, std::memory_order_release);

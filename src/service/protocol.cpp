@@ -507,6 +507,52 @@ std::string encode(const SearchResponse& response) {
   return w.take();
 }
 
+std::string encode(const Request& request) {
+  return std::visit([](const auto& r) { return encode(r); }, request);
+}
+
+std::string encode(const Response& response) {
+  return std::visit([](const auto& r) { return encode(r); }, response);
+}
+
+std::uint64_t request_id(const Request& request) {
+  return std::visit([](const auto& r) { return r.request_id; }, request);
+}
+
+std::uint64_t request_id(const Response& response) {
+  return std::visit([](const auto& r) { return r.request_id; }, response);
+}
+
+std::uint64_t& request_id(Request& request) {
+  return std::visit([](auto& r) -> std::uint64_t& { return r.request_id; },
+                    request);
+}
+
+std::uint64_t& request_id(Response& response) {
+  return std::visit([](auto& r) -> std::uint64_t& { return r.request_id; },
+                    response);
+}
+
+std::uint32_t deadline_ms(const Request& request) {
+  return std::visit(
+      [](const auto& r) -> std::uint32_t {
+        if constexpr (requires { r.deadline_ms; }) {
+          return r.deadline_ms;
+        } else {
+          return 0;
+        }
+      },
+      request);
+}
+
+void set_deadline_ms(Request& request, std::uint32_t budget_ms) {
+  std::visit(
+      [budget_ms](auto& r) {
+        if constexpr (requires { r.deadline_ms; }) r.deadline_ms = budget_ms;
+      },
+      request);
+}
+
 Request decode_request(std::string_view payload) {
   Reader r(payload);
   const Verb verb = read_header(r);

@@ -18,8 +18,7 @@
 //   ALIGN_BATCH -> ALIGN_BATCH_OK | ERROR
 //                                  several ALIGN jobs in one frame; one
 //                                  worker executes them back to back on
-//                                  its persistent Aligner (the router's
-//                                  admission-time coalescing target)
+//                                  its persistent Aligner
 //   SEQ_BEGIN   -> SEQ_OK | ERROR  open (or resume) a chunked sequence
 //                                  upload session, keyed by a client
 //                                  token; SEQ_OK reports the next byte
@@ -159,12 +158,10 @@ struct AlignRequest {
 /// Several independent ALIGN jobs folded into one frame. One worker pops
 /// the whole batch and runs the jobs back to back on its persistent
 /// Aligner, so the workspace-reuse amortization the daemon gets from a
-/// warm worker also applies *across* small requests — this is the frame
-/// the router's admission-time coalescer emits. Each job keeps its own
-/// request_id; the response echoes them job by job, so a multiplexer can
-/// demux per-job answers to different origin clients.
+/// warm worker also applies *across* small requests. Each job keeps its
+/// own request_id; the response echoes them job by job.
 struct AlignBatchRequest {
-  std::uint64_t request_id = 0;  ///< envelope id (answers the batch frame)
+  std::uint64_t request_id = 0;  ///< id of the batch frame as a whole
   std::vector<AlignRequest> jobs;
 };
 
@@ -470,6 +467,32 @@ std::string encode(const AlignBatchResponse& response);
 std::string encode(const SeqOkResponse& response);
 std::string encode(const AlignPartResponse& response);
 std::string encode(const RefListResponse& response);
+
+/// Encodes whichever verb the variant holds.
+std::string encode(const Request& request);
+std::string encode(const Response& response);
+
+/// The request_id every verb carries. The mutable overloads let a relay
+/// rewrite it in place.
+std::uint64_t request_id(const Request& request);
+std::uint64_t request_id(const Response& response);
+std::uint64_t& request_id(Request& request);
+std::uint64_t& request_id(Response& response);
+
+/// The queueing deadline a request carries, in milliseconds; 0 when it
+/// has none, whether unset or because its verb carries no deadline.
+std::uint32_t deadline_ms(const Request& request);
+/// Overwrites the deadline of a verb that carries one; a no-op otherwise.
+void set_deadline_ms(Request& request, std::uint32_t budget_ms);
+
+/// Overload set for std::visit over Request or Response: one lambda per
+/// verb. A verb left without a lambda fails to compile.
+template <typename... Arms>
+struct Overloaded : Arms... {
+  using Arms::operator()...;
+};
+template <typename... Arms>
+Overloaded(Arms...) -> Overloaded<Arms...>;
 
 /// Payload decoders; throw ProtocolError on malformed input.
 Request decode_request(std::string_view payload);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -51,6 +52,40 @@ std::uint64_t micros_between(std::chrono::steady_clock::time_point from,
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(to - from)
           .count());
+}
+
+/// A typed refusal. Admission steps and executors throw it;
+/// AlignmentServer::failure() answers it with its code.
+class Refusal : public std::runtime_error {
+ public:
+  Refusal(ErrorCode error, const std::string& message)
+      : std::runtime_error(message), code(error) {}
+  ErrorCode code;
+};
+
+/// Milliseconds left at `now` of a `budget_ms` deadline that started at
+/// `enqueued`; -1 when there is none. Throws DEADLINE_EXCEEDED once it
+/// has passed, `executed` telling whether the work ran and its result is
+/// being discarded.
+std::int64_t remaining_ms(std::chrono::steady_clock::time_point enqueued,
+                          std::uint32_t budget_ms,
+                          std::chrono::steady_clock::time_point now,
+                          bool executed) {
+  if (budget_ms == 0) return -1;
+  const auto deadline = enqueued + std::chrono::milliseconds(budget_ms);
+  if (now >= deadline) {
+    throw Refusal(ErrorCode::kDeadlineExceeded,
+                  executed ? "deadline of " + std::to_string(budget_ms) +
+                                 " ms expired during execution; result "
+                                 "discarded"
+                           : "queued for " +
+                                 std::to_string(
+                                     micros_between(enqueued, now) / 1000) +
+                                 " ms, deadline " + std::to_string(budget_ms) +
+                                 " ms");
+  }
+  return std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+      .count();
 }
 
 /// Durable identity of a streamed upload: the rolling FNV of the letters
@@ -215,7 +250,7 @@ void AlignmentServer::start() {
       config_.workers != 0 ? config_.workers : default_thread_count();
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   frames_.start_accepting();
   {
@@ -281,166 +316,165 @@ void AlignmentServer::stop() {
 
 void AlignmentServer::handle_request(
     const std::shared_ptr<Connection>& connection, Request request) {
-  if (std::holds_alternative<StatsRequest>(request)) {
-    answer_stats(connection, std::get<StatsRequest>(request));
-    return;
+  const std::uint64_t id = request_id(request);
+  const std::uint32_t deadline = deadline_ms(request);
+  const auto cells_charge = [this](std::uint64_t cells) {
+    return Charge{cells, config_.max_request_cells, "request", "DPM cells"};
+  };
+  try {
+    std::visit(
+        Overloaded{
+            // Inline verbs answer on this connection thread. STATS and
+            // REF_LIST are brief reads, so a router re-syncing after a
+            // backend restart never queues behind DP. The SEQ_* verbs
+            // keep the connection's frame order, which the shared worker
+            // pool would destroy, and their work is disk I/O, not cells.
+            [&](const StatsRequest& stats) { answer_stats(connection, stats); },
+            [&](const RefListRequest& list) {
+              instruments_.requests.add();
+              answer_ref_list(connection, list);
+            },
+            [&](const SeqBeginRequest& begin) {
+              instruments_.requests.add();
+              refuse_while_draining();
+              if (begin.upload_token == 0) {
+                throw Refusal(ErrorCode::kBadRequest,
+                              "upload token must be nonzero");
+              }
+              check_budget({begin.total_residues, config_.max_store_residues,
+                            "declared upload", "residues"});
+              admission_fault_site();
+              handle_seq_begin(connection, begin);
+            },
+            [&](const SeqChunkRequest& chunk) {
+              // No fault site: an open session's chunks are not refused
+              // at admission.
+              instruments_.requests.add();
+              refuse_while_draining();
+              handle_seq_chunk(connection, chunk);
+            },
+            [&](const SeqEndRequest& end) {
+              // No drain check and no fault site: a session whose bytes
+              // all arrived may still seal while the server drains.
+              instruments_.requests.add();
+              handle_seq_end(connection, end);
+            },
+            // Queued verbs: counted and charged, then drain check, budget,
+            // fault site and the bounded queue in enqueue(); a worker runs
+            // the bound executor. The charge is taken before the request
+            // moves into the executor.
+            [&](AlignRequest& align) {
+              instruments_.requests.add();
+              const Charge charge = cells_charge(estimated_cells(align));
+              enqueue(connection, id, deadline, charge,
+                      [this, r = std::move(align)](Aligner& aligner,
+                                                   const Job& job) {
+                        respond(job.connection,
+                                encode(run_align(aligner, job.enqueued, r)));
+                      });
+            },
+            [&](AlignBatchRequest& batch) {
+              // One queue entry, but every job counts in the request
+              // counter, as it would sent singly.
+              instruments_.requests.add(batch.jobs.size());
+              instruments_.batch_requests.add();
+              instruments_.batch_jobs.add(batch.jobs.size());
+              if (batch.jobs.empty()) {
+                throw Refusal(ErrorCode::kBadRequest, "batch contains no jobs");
+              }
+              const Charge charge = cells_charge(estimated_cells(batch));
+              enqueue(connection, id, deadline, charge,
+                      [this, r = std::move(batch)](Aligner& aligner,
+                                                   const Job& job) {
+                        execute_align_batch(aligner, job, r);
+                      });
+            },
+            [&](SearchRequest& search) {
+              instruments_.requests.add();
+              instruments_.search_requests.add();
+              const Charge charge = cells_charge(estimated_cells(search));
+              enqueue(connection, id, deadline, charge,
+                      [this, r = std::move(search)](Aligner&, const Job& job) {
+                        execute_search(job, r);
+                      });
+            },
+            [&](AlignRefRequest& by_ref) {
+              instruments_.requests.add();
+              instruments_.align_ref_requests.add();
+              // The handles' lengths price the budget. A banded request
+              // is charged the banded matrix it allocates; full FastLSA
+              // is charged like ALIGN.
+              RefEntry entry_a = find_ref(by_ref.ref_a);
+              std::optional<RefEntry> entry_b;
+              if (by_ref.ref_b != 0) entry_b = find_ref(by_ref.ref_b);
+              const std::uint64_t len_a = entry_a.view.size();
+              const std::uint64_t len_b =
+                  entry_b ? entry_b->view.size() : by_ref.b.size();
+              const Charge charge =
+                  by_ref.band != 0
+                      ? Charge{estimated_banded_cells(len_a, len_b,
+                                                      by_ref.band),
+                               config_.max_banded_cells, "banded request",
+                               "cells"}
+                      : cells_charge(estimated_cells(len_a, len_b));
+              enqueue(connection, id, deadline, charge,
+                      [this, r = std::move(by_ref), a = std::move(entry_a),
+                       b = std::move(entry_b)](Aligner& aligner,
+                                               const Job& job) {
+                        execute_align_ref(aligner, job, r, a,
+                                          b ? &*b : nullptr);
+                      });
+            },
+            [&](RefPutRequest& put) {
+              instruments_.requests.add();
+              const Charge charge{put.sequence.size(),
+                                  config_.max_reference_residues, "reference",
+                                  "residues"};
+              enqueue(connection, id, deadline, charge,
+                      [this, r = std::move(put)](Aligner&, const Job& job) {
+                        execute_ref_put(job, r);
+                      });
+            },
+        },
+        request);
+  } catch (...) {
+    respond(connection, encode(failure(id)));
   }
-  if (const auto* list = std::get_if<RefListRequest>(&request)) {
-    // A pure read of the handle table: answered inline like STATS, so a
-    // router re-syncing after a backend restart never queues behind DP.
-    answer_ref_list(connection, *list);
-    return;
-  }
-  // Upload verbs run inline on this connection thread: chunk order is
-  // the connection's frame order, which the shared worker pool would
-  // destroy, and the work is disk I/O, not DP cells.
-  if (const auto* begin = std::get_if<SeqBeginRequest>(&request)) {
-    handle_seq_begin(connection, *begin);
-    return;
-  }
-  if (const auto* chunk = std::get_if<SeqChunkRequest>(&request)) {
-    handle_seq_chunk(connection, *chunk);
-    return;
-  }
-  if (const auto* end = std::get_if<SeqEndRequest>(&request)) {
-    handle_seq_end(connection, *end);
-    return;
-  }
+}
 
-  // Every queued verb shares the admission pipeline: drain check, a
-  // TOO_LARGE budget in the verb's own currency, the fault injector's
-  // admission site, then the bounded queue.
-  std::uint64_t request_id = 0;
-  std::uint64_t cells = 0;  // DPM-cell budget charge (0 = not cell-bound)
-  std::string too_large_message;
-  if (const auto* align = std::get_if<AlignRequest>(&request)) {
-    instruments_.requests.add();
-    request_id = align->request_id;
-    cells = estimated_cells(*align);
-  } else if (const auto* search = std::get_if<SearchRequest>(&request)) {
-    instruments_.requests.add();
-    instruments_.search_requests.add();
-    request_id = search->request_id;
-    cells = estimated_cells(*search);
-  } else if (const auto* batch = std::get_if<AlignBatchRequest>(&request)) {
-    // A coalesced frame is one queue entry but counts every job in the
-    // request counter — throughput accounting must not depend on whether
-    // the router folded the jobs or pipelined them singly.
-    instruments_.requests.add(batch->jobs.size());
-    instruments_.batch_requests.add();
-    instruments_.batch_jobs.add(batch->jobs.size());
-    request_id = batch->request_id;
-    cells = estimated_cells(*batch);
-    if (batch->jobs.empty()) {
-      instruments_.bad_requests.add();
-      frames_.reject(connection, request_id, ErrorCode::kBadRequest,
-                     "batch contains no jobs");
-      return;
-    }
-  } else if (const auto* by_ref = std::get_if<AlignRefRequest>(&request)) {
-    instruments_.requests.add();
-    instruments_.align_ref_requests.add();
-    request_id = by_ref->request_id;
-    // Resolve handle lengths for the budget check. The banded budget is
-    // its own currency (the banded matrix is what is actually
-    // allocated); full FastLSA is charged like ALIGN.
-    std::uint64_t len_a = 0;
-    std::uint64_t len_b = by_ref->b.size();
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto a_it = refs_.find(by_ref->ref_a);
-      if (a_it == refs_.end()) {
-        instruments_.search_ref_not_found.add();
-        frames_.reject(connection, request_id, ErrorCode::kRefNotFound,
-                       "reference id " + std::to_string(by_ref->ref_a) +
-                           " is not registered");
-        return;
-      }
-      len_a = a_it->second.view.size();
-      if (by_ref->ref_b != 0) {
-        const auto b_it = refs_.find(by_ref->ref_b);
-        if (b_it == refs_.end()) {
-          instruments_.search_ref_not_found.add();
-          frames_.reject(connection, request_id, ErrorCode::kRefNotFound,
-                         "reference id " + std::to_string(by_ref->ref_b) +
-                             " is not registered");
-          return;
-        }
-        len_b = b_it->second.view.size();
-      }
-    }
-    if (by_ref->band != 0) {
-      const std::uint64_t banded =
-          estimated_banded_cells(len_a, len_b, by_ref->band);
-      if (banded > config_.max_banded_cells) {
-        too_large_message =
-            "banded request of " + std::to_string(banded) +
-            " cells exceeds the banded budget of " +
-            std::to_string(config_.max_banded_cells);
-      }
-    } else {
-      cells = estimated_cells(len_a, len_b);
-    }
-  } else {
-    const auto& ref_put = std::get<RefPutRequest>(request);
-    instruments_.requests.add();
-    request_id = ref_put.request_id;
-    if (ref_put.sequence.size() > config_.max_reference_residues) {
-      too_large_message =
-          "reference of " + std::to_string(ref_put.sequence.size()) +
-          " residues exceeds the limit of " +
-          std::to_string(config_.max_reference_residues);
-    }
-  }
-
+void AlignmentServer::refuse_while_draining() const {
   if (draining_.load(std::memory_order_acquire)) {
-    instruments_.rejected_shutdown.add();
-    frames_.reject(connection, request_id, ErrorCode::kShuttingDown,
-                   "server is draining");
-    return;
+    throw Refusal(ErrorCode::kShuttingDown, "server is draining");
   }
-  if (cells > config_.max_request_cells) {
-    too_large_message = "request of " + std::to_string(cells) +
-                        " DPM cells exceeds the budget of " +
-                        std::to_string(config_.max_request_cells);
-  }
-  if (!too_large_message.empty()) {
-    instruments_.rejected_too_large.add();
-    frames_.reject(connection, request_id, ErrorCode::kTooLarge,
-                   too_large_message);
-    return;
-  }
-  if (injector_ && injector_->active() && injector_->inject_reject()) {
-    // Admission-site fault: a synthetic overload rejection, exercising
-    // exactly the typed answer a real full queue produces (and the
-    // client retry/backoff path that recovers from it).
-    instruments_.rejected_overloaded.add();
-    frames_.reject(connection, request_id, ErrorCode::kOverloaded,
-                   "fault injection: admission rejected");
-    return;
-  }
+}
 
-  std::visit(
-      [&](auto&& work) {
-        using T = std::decay_t<decltype(work)>;
-        // STATS, REF_LIST, and the SEQ_* verbs were answered inline above.
-        if constexpr (!std::is_same_v<T, StatsRequest> &&
-                      !std::is_same_v<T, RefListRequest> &&
-                      !std::is_same_v<T, SeqBeginRequest> &&
-                      !std::is_same_v<T, SeqChunkRequest> &&
-                      !std::is_same_v<T, SeqEndRequest>) {
-          enqueue(connection, request_id, std::move(work));
-        }
-      },
-      std::move(request));
+void AlignmentServer::check_budget(const Charge& charge) const {
+  if (charge.amount > charge.limit) {
+    throw Refusal(ErrorCode::kTooLarge,
+                  std::string(charge.what) + " of " +
+                      std::to_string(charge.amount) + " " + charge.unit +
+                      " exceeds the limit of " + std::to_string(charge.limit));
+  }
+}
+
+void AlignmentServer::admission_fault_site() {
+  // A synthetic overload rejection, exercising exactly the typed answer a
+  // real full queue produces (and the client retry path that recovers).
+  if (injector_ && injector_->active() && injector_->inject_reject()) {
+    throw Refusal(ErrorCode::kOverloaded,
+                  "fault injection: admission rejected");
+  }
 }
 
 void AlignmentServer::enqueue(const std::shared_ptr<Connection>& connection,
-                              std::uint64_t request_id, Work work) {
-  Job job;
-  job.connection = connection;
-  job.work = std::move(work);
-  job.enqueued = std::chrono::steady_clock::now();
+                              std::uint64_t request_id,
+                              std::uint32_t deadline_ms, const Charge& charge,
+                              Executor execute) {
+  refuse_while_draining();
+  check_budget(charge);
+  admission_fault_site();
+  Job job{connection, request_id, deadline_ms,
+          std::chrono::steady_clock::now(), std::move(execute)};
   // Count before pushing: a worker may pop (and decrement) immediately.
   connection->in_flight.fetch_add(1, std::memory_order_acq_rel);
   switch (queue_.try_push(std::move(job))) {
@@ -448,25 +482,83 @@ void AlignmentServer::enqueue(const std::shared_ptr<Connection>& connection,
       instruments_.queue_depth.set(static_cast<double>(queue_.size()));
       instruments_.in_flight.set(static_cast<double>(
           jobs_in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1));
-      break;
+      return;
     case BoundedQueue<Job>::Push::kFull:
       connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      instruments_.rejected_overloaded.add();
-      frames_.reject(connection, request_id, ErrorCode::kOverloaded,
-                     "request queue full (" +
-                         std::to_string(queue_.capacity()) + " entries)");
-      break;
+      throw Refusal(ErrorCode::kOverloaded,
+                    "request queue full (" +
+                        std::to_string(queue_.capacity()) + " entries)");
     case BoundedQueue<Job>::Push::kClosed:
       connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      instruments_.rejected_shutdown.add();
-      frames_.reject(connection, request_id, ErrorCode::kShuttingDown,
-                     "server is draining");
-      break;
+      throw Refusal(ErrorCode::kShuttingDown, "server is draining");
   }
 }
 
-void AlignmentServer::worker_loop(unsigned worker_index) {
-  (void)worker_index;
+ErrorResponse AlignmentServer::failure(std::uint64_t request_id) {
+  ErrorResponse error;
+  error.request_id = request_id;
+  error.code = ErrorCode::kInternal;
+  try {
+    throw;
+  } catch (const Refusal& e) {
+    error.code = e.code;
+    error.message = e.what();
+  } catch (const search::SubjectTooLarge& e) {
+    error.code = ErrorCode::kTooLarge;
+    error.message = e.what();
+  } catch (const std::invalid_argument& e) {
+    error.code = ErrorCode::kBadRequest;
+    error.message = e.what();
+  } catch (const std::exception& e) {
+    error.message = e.what();
+  } catch (...) {
+    error.message = "unknown failure";
+  }
+  obs::Counter* counter = &instruments_.internal_errors;
+  switch (error.code) {
+    case ErrorCode::kBadRequest: counter = &instruments_.bad_requests; break;
+    case ErrorCode::kTooLarge:
+      counter = &instruments_.rejected_too_large;
+      break;
+    case ErrorCode::kOverloaded:
+      counter = &instruments_.rejected_overloaded;
+      break;
+    case ErrorCode::kDeadlineExceeded:
+      counter = &instruments_.rejected_deadline;
+      break;
+    case ErrorCode::kShuttingDown:
+      counter = &instruments_.rejected_shutdown;
+      break;
+    case ErrorCode::kRefNotFound:
+      counter = &instruments_.search_ref_not_found;
+      break;
+    case ErrorCode::kInternal:
+    case ErrorCode::kConnectionLimit:
+      break;
+  }
+  counter->add();
+  return error;
+}
+
+bool AlignmentServer::respond(const std::shared_ptr<Connection>& connection,
+                              const std::string& payload) {
+  if (frames_.respond(connection, payload)) return true;
+  instruments_.write_errors.add();
+  return false;
+}
+
+AlignmentServer::RefEntry AlignmentServer::find_ref(std::uint64_t ref_id) {
+  std::lock_guard<std::mutex> lock(refs_mutex_);
+  const auto it = refs_.find(ref_id);
+  if (it == refs_.end()) {
+    throw Refusal(ErrorCode::kRefNotFound, "reference id " +
+                                               std::to_string(ref_id) +
+                                               " is not registered");
+  }
+  return it->second;
+}
+
+void AlignmentServer::worker_loop() {
   // One persistent Aligner per worker: its workspace recycles every
   // engine buffer, so steady-state requests allocate nothing inside the
   // engine (PR-3 contract), which is what lets a warm daemon beat
@@ -478,37 +570,16 @@ void AlignmentServer::worker_loop(unsigned worker_index) {
 
   while (auto job = queue_.pop()) {
     instruments_.queue_depth.set(static_cast<double>(queue_.size()));
-    const auto now = std::chrono::steady_clock::now();
-    std::uint64_t request_id = 0;
-    std::uint32_t deadline_ms = 0;  // REF_PUT carries no deadline
-    std::visit(
-        [&](const auto& work) {
-          using T = std::decay_t<decltype(work)>;
-          request_id = work.request_id;
-          // REF_PUT carries no deadline; a batch envelope has none either
-          // (each coalesced job enforces its own inside run_align).
-          if constexpr (std::is_same_v<T, AlignRequest> ||
-                        std::is_same_v<T, SearchRequest> ||
-                        std::is_same_v<T, AlignRefRequest>) {
-            deadline_ms = work.deadline_ms;
-          }
-        },
-        job->work);
-    if (deadline_ms != 0 &&
-        now - job->enqueued >= std::chrono::milliseconds(deadline_ms)) {
-      instruments_.rejected_deadline.add();
-      frames_.reject(job->connection, request_id, ErrorCode::kDeadlineExceeded,
-                     "queued for " +
-                         std::to_string(
-                             micros_between(job->enqueued, now) / 1000) +
-                         " ms, deadline " + std::to_string(deadline_ms) +
-                         " ms");
-      job->connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      instruments_.in_flight.set(static_cast<double>(
-          jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1));
-      continue;
+    try {
+      // A job that waited out its deadline in the queue is answered
+      // DEADLINE_EXCEEDED unexecuted: the client has given up, so the
+      // cells would be wasted.
+      remaining_ms(job->enqueued, job->deadline_ms,
+                   std::chrono::steady_clock::now(), /*executed=*/false);
+      job->execute(aligner, *job);
+    } catch (...) {
+      respond(job->connection, encode(failure(job->request_id)));
     }
-    execute(aligner, *job);
     // Decremented only after the answer is written (or provably dropped):
     // an idle-deadline hangup can then never race a pending response.
     job->connection->in_flight.fetch_sub(1, std::memory_order_acq_rel);
@@ -517,140 +588,66 @@ void AlignmentServer::worker_loop(unsigned worker_index) {
   }
 }
 
-void AlignmentServer::execute(Aligner& aligner, Job& job) {
-  std::visit(
-      [&](const auto& work) {
-        using T = std::decay_t<decltype(work)>;
-        if constexpr (std::is_same_v<T, AlignRequest>) {
-          execute_align(aligner, job, work);
-        } else if constexpr (std::is_same_v<T, AlignBatchRequest>) {
-          execute_align_batch(aligner, job, work);
-        } else if constexpr (std::is_same_v<T, RefPutRequest>) {
-          execute_ref_put(job, work);
-        } else if constexpr (std::is_same_v<T, AlignRefRequest>) {
-          execute_align_ref(aligner, job, work);
-        } else {
-          execute_search(job, work);
-        }
-      },
-      job.work);
-}
-
-BatchItem AlignmentServer::run_align(
+AlignResponse AlignmentServer::run_align(
     Aligner& aligner, std::chrono::steady_clock::time_point enqueued,
     const AlignRequest& request) {
   const auto started = std::chrono::steady_clock::now();
   // Per-job deadline pre-check against the shared enqueue timestamp: in a
-  // coalesced batch the earlier jobs consume wall clock before this one
-  // starts, so each job re-validates its own budget before burning cells.
-  if (request.deadline_ms != 0 &&
-      started - enqueued >= std::chrono::milliseconds(request.deadline_ms)) {
-    instruments_.rejected_deadline.add();
-    ErrorResponse error;
-    error.request_id = request.request_id;
-    error.code = ErrorCode::kDeadlineExceeded;
-    error.message =
-        "queued for " +
-        std::to_string(micros_between(enqueued, started) / 1000) +
-        " ms, deadline " + std::to_string(request.deadline_ms) + " ms";
-    return error;
+  // batch the earlier jobs consume wall clock before this one starts, so
+  // each job re-validates its own budget before burning cells.
+  remaining_ms(enqueued, request.deadline_ms, started, /*executed=*/false);
+  if (request.gap_open > 0 || request.gap_extend > 0) {
+    throw std::invalid_argument("gap penalties must be <= 0");
   }
-  try {
-    if (request.gap_open > 0 || request.gap_extend > 0) {
-      throw std::invalid_argument("gap penalties must be <= 0");
-    }
-    const Alphabet& alphabet = alphabet_for(request.matrix);
-    const SubstitutionMatrix& matrix = matrix_for(request.matrix);
-    const ScoringScheme scheme =
-        request.gap_open == 0
-            ? ScoringScheme(matrix, request.gap_extend)
-            : ScoringScheme(matrix, request.gap_open, request.gap_extend);
-    const Sequence a(alphabet, request.a);
-    const Sequence b(alphabet, request.b);
+  const Alphabet& alphabet = alphabet_for(request.matrix);
+  const SubstitutionMatrix& matrix = matrix_for(request.matrix);
+  const ScoringScheme scheme =
+      request.gap_open == 0
+          ? ScoringScheme(matrix, request.gap_extend)
+          : ScoringScheme(matrix, request.gap_open, request.gap_extend);
+  const Sequence a(alphabet, request.a);
+  const Sequence b(alphabet, request.b);
 
-    AlignOptions options = aligner.options();
-    if (request.k != 0) options.fastlsa.k = request.k;
-    if (request.base_case_cells != 0) {
-      options.fastlsa.base_case_cells = request.base_case_cells;
-    }
-    validate(options.fastlsa);
-    // The worker's persistent workspace: this is the whole point of the
-    // daemon shape — buffers stay warm across requests (and across every
-    // job of a coalesced batch, which is what coalescing amortizes).
-    options.fastlsa.workspace = &aligner.workspace();
-
-    const Alignment alignment = flsa::align(a, b, scheme, options);
-    const auto done = std::chrono::steady_clock::now();
-
-    // Deadline re-check after the (uncancellable) alignment: a request
-    // whose deadline expired mid-align must not be answered with a stale
-    // success — the client has given up, and a late "82" is
-    // indistinguishable from a correct one to whatever retried elsewhere.
-    std::int64_t deadline_remaining_ms = -1;
-    if (request.deadline_ms != 0) {
-      const auto deadline =
-          enqueued + std::chrono::milliseconds(request.deadline_ms);
-      if (done >= deadline) {
-        instruments_.rejected_deadline.add();
-        ErrorResponse error;
-        error.request_id = request.request_id;
-        error.code = ErrorCode::kDeadlineExceeded;
-        error.message = "deadline of " + std::to_string(request.deadline_ms) +
-                        " ms expired during execution; result discarded";
-        return error;
-      }
-      deadline_remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                done)
-              .count();
-    }
-
-    AlignResponse response;
-    response.request_id = request.request_id;
-    response.score = alignment.score;
-    if (!request.score_only) response.cigar = alignment.cigar();
-    // The same (m+1)(n+1) DPM-cell quantity the admission budget uses —
-    // STATS/bench numbers and max_request_cells agree at the boundary.
-    response.cells = estimated_cells(request);
-    response.queue_micros = micros_between(enqueued, started);
-    response.exec_micros = micros_between(started, done);
-    response.deadline_remaining_ms = deadline_remaining_ms;
-
-    instruments_.completed.add();
-    instruments_.cells.add(response.cells);
-    instruments_.queue_seconds.observe(
-        static_cast<double>(response.queue_micros) * 1e-6);
-    instruments_.exec_seconds.observe(
-        static_cast<double>(response.exec_micros) * 1e-6);
-    return response;
-  } catch (const std::invalid_argument& e) {
-    instruments_.bad_requests.add();
-    ErrorResponse error;
-    error.request_id = request.request_id;
-    error.code = ErrorCode::kBadRequest;
-    error.message = e.what();
-    return error;
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    ErrorResponse error;
-    error.request_id = request.request_id;
-    error.code = ErrorCode::kInternal;
-    error.message = e.what();
-    return error;
+  AlignOptions options = aligner.options();
+  if (request.k != 0) options.fastlsa.k = request.k;
+  if (request.base_case_cells != 0) {
+    options.fastlsa.base_case_cells = request.base_case_cells;
   }
+  validate(options.fastlsa);
+  // The worker's persistent workspace: this is the whole point of the
+  // daemon shape — buffers stay warm across requests (and across every
+  // job of a batch).
+  options.fastlsa.workspace = &aligner.workspace();
+
+  const Alignment alignment = flsa::align(a, b, scheme, options);
+  const auto done = std::chrono::steady_clock::now();
+
+  AlignResponse response;
+  response.request_id = request.request_id;
+  // Deadline re-check after the (uncancellable) alignment: a request
+  // whose deadline expired mid-align must not be answered with a stale
+  // success — the client has given up, and a late "82" is
+  // indistinguishable from a correct one to whatever retried elsewhere.
+  response.deadline_remaining_ms =
+      remaining_ms(enqueued, request.deadline_ms, done, /*executed=*/true);
+  response.score = alignment.score;
+  if (!request.score_only) response.cigar = alignment.cigar();
+  // The same (m+1)(n+1) DPM-cell quantity the admission budget uses —
+  // STATS/bench numbers and max_request_cells agree at the boundary.
+  response.cells = estimated_cells(request);
+  response.queue_micros = micros_between(enqueued, started);
+  response.exec_micros = micros_between(started, done);
+
+  instruments_.completed.add();
+  instruments_.cells.add(response.cells);
+  instruments_.queue_seconds.observe(
+      static_cast<double>(response.queue_micros) * 1e-6);
+  instruments_.exec_seconds.observe(
+      static_cast<double>(response.exec_micros) * 1e-6);
+  return response;
 }
 
-void AlignmentServer::execute_align(Aligner& aligner, Job& job,
-                                    const AlignRequest& request) {
-  const BatchItem item = run_align(aligner, job.enqueued, request);
-  const std::string payload =
-      std::visit([](const auto& response) { return encode(response); }, item);
-  if (!frames_.respond(job.connection, payload)) {
-    instruments_.write_errors.add();
-  }
-}
-
-void AlignmentServer::execute_align_batch(Aligner& aligner, Job& job,
+void AlignmentServer::execute_align_batch(Aligner& aligner, const Job& job,
                                           const AlignBatchRequest& request) {
   AlignBatchResponse response;
   response.request_id = request.request_id;
@@ -660,11 +657,13 @@ void AlignmentServer::execute_align_batch(Aligner& aligner, Job& job,
   // frame parsing in between. Per-job outcomes are independent — one bad
   // job yields one error item, never poisons its neighbours.
   for (const AlignRequest& item : request.jobs) {
-    response.items.push_back(run_align(aligner, job.enqueued, item));
+    try {
+      response.items.push_back(run_align(aligner, job.enqueued, item));
+    } catch (...) {
+      response.items.push_back(failure(item.request_id));
+    }
   }
-  if (!frames_.respond(job.connection, encode(response))) {
-    instruments_.write_errors.add();
-  }
+  respond(job.connection, encode(response));
 }
 
 std::string AlignmentServer::write_store_file(const Alphabet& alphabet,
@@ -870,675 +869,445 @@ void AlignmentServer::hygiene_loop() {
   }
 }
 
-void AlignmentServer::execute_ref_put(Job& job,
+void AlignmentServer::execute_ref_put(const Job& job,
                                       const RefPutRequest& request) {
   const auto started = std::chrono::steady_clock::now();
-  try {
-    // Idempotent replay: a retried REF_PUT whose content token is
-    // already mapped answers the existing id — a duplicate send after an
-    // ambiguous failure cannot register (and index) the content twice.
-    if (request.content_token != 0) {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto tok = ref_tokens_.find(request.content_token);
-      if (tok != ref_tokens_.end()) {
-        RefPutResponse response;
-        response.request_id = request.request_id;
-        response.ref_id = tok->second;
-        const auto it = refs_.find(tok->second);
-        if (it != refs_.end()) {
-          response.residues = it->second.view.size();
-          if (it->second.index) {
-            response.distinct_kmers =
-                it->second.index->kmers().distinct_kmers();
-          }
+  RefPutResponse response;
+  response.request_id = request.request_id;
+  // Idempotent replay: a retried REF_PUT whose content token is already
+  // mapped answers the existing id — a duplicate send after an ambiguous
+  // failure cannot register (and index) the content twice.
+  if (request.content_token != 0) {
+    std::lock_guard<std::mutex> lock(refs_mutex_);
+    const auto tok = ref_tokens_.find(request.content_token);
+    if (tok != ref_tokens_.end()) {
+      response.ref_id = tok->second;
+      const auto it = refs_.find(tok->second);
+      if (it != refs_.end()) {
+        response.residues = it->second.view.size();
+        if (it->second.index) {
+          response.distinct_kmers = it->second.index->kmers().distinct_kmers();
         }
-        instruments_.completed.add();
-        instruments_.ref_dedup_hits.add();
-        if (!frames_.respond(job.connection, encode(response))) {
-          instruments_.write_errors.add();
-        }
-        return;
       }
+      instruments_.completed.add();
+      instruments_.ref_dedup_hits.add();
+      respond(job.connection, encode(response));
+      return;
     }
-
-    const Alphabet& alphabet = alphabet_for(request.matrix);
-    const std::uint32_t k =
-        request.k != 0 ? request.k : default_seed_k(config_, request.matrix);
-    search::KmerIndex::require_indexable(request.sequence.size());
-    const std::string path =
-        write_store_file(alphabet, request.sequence, request.name);
-    // The durable identity: the client's token when it sent one, else
-    // the same derivation the client's retry path uses — every REF_PUT
-    // handle gets a content-token payload name and a manifest record.
-    const std::uint64_t durable = request.content_token != 0
-                                      ? request.content_token
-                                      : content_token_for(request);
-    std::uint64_t distinct = 0;
-    std::uint64_t ref_id = register_store_file(path, request.matrix, k,
-                                               &distinct, durable,
-                                               request.name);
-    const auto done = std::chrono::steady_clock::now();
-
-    if (request.content_token != 0) {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      // Two concurrent registrations of the same content settle on the
-      // first mapping; the loser's entry is merely unreferenced.
-      const auto winner =
-          ref_tokens_.emplace(request.content_token, ref_id).first;
-      ref_id = winner->second;
-    }
-
-    RefPutResponse response;
-    response.request_id = request.request_id;
-    response.ref_id = ref_id;
-    response.residues = request.sequence.size();
-    response.distinct_kmers = distinct;
-    response.build_micros = micros_between(started, done);
-    instruments_.completed.add();
-    instruments_.ref_puts.add();
-    instruments_.ref_residues.add(response.residues);
-    instruments_.ref_build_seconds.observe(
-        static_cast<double>(response.build_micros) * 1e-6);
-    if (!frames_.respond(job.connection, encode(response))) {
-      instruments_.write_errors.add();
-    }
-  } catch (const search::SubjectTooLarge& e) {
-    instruments_.rejected_too_large.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kTooLarge,
-                   e.what());
-  } catch (const std::invalid_argument& e) {
-    instruments_.bad_requests.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-                   e.what());
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
   }
+
+  const Alphabet& alphabet = alphabet_for(request.matrix);
+  const std::uint32_t k =
+      request.k != 0 ? request.k : default_seed_k(config_, request.matrix);
+  search::KmerIndex::require_indexable(request.sequence.size());
+  const std::string path =
+      write_store_file(alphabet, request.sequence, request.name);
+  // The durable identity: the client's token when it sent one, else the
+  // same derivation the client's retry path uses — every REF_PUT handle
+  // gets a content-token payload name and a manifest record.
+  const std::uint64_t durable = request.content_token != 0
+                                    ? request.content_token
+                                    : content_token_for(request);
+  std::uint64_t distinct = 0;
+  std::uint64_t ref_id = register_store_file(path, request.matrix, k,
+                                             &distinct, durable, request.name);
+  const auto done = std::chrono::steady_clock::now();
+
+  if (request.content_token != 0) {
+    std::lock_guard<std::mutex> lock(refs_mutex_);
+    // Two concurrent registrations of the same content settle on the
+    // first mapping; the loser's entry is merely unreferenced.
+    ref_id = ref_tokens_.emplace(request.content_token, ref_id).first->second;
+  }
+
+  response.ref_id = ref_id;
+  response.residues = request.sequence.size();
+  response.distinct_kmers = distinct;
+  response.build_micros = micros_between(started, done);
+  instruments_.completed.add();
+  instruments_.ref_puts.add();
+  instruments_.ref_residues.add(response.residues);
+  instruments_.ref_build_seconds.observe(
+      static_cast<double>(response.build_micros) * 1e-6);
+  respond(job.connection, encode(response));
 }
 
-void AlignmentServer::execute_search(Job& job, const SearchRequest& request) {
+void AlignmentServer::execute_search(const Job& job,
+                                     const SearchRequest& request) {
   const auto started = std::chrono::steady_clock::now();
-  try {
-    RefEntry entry;
-    bool found = false;
+  RefEntry entry = find_ref(request.ref_id);
+  if (!entry.index && entry.build_k != 0) {
+    // Restart replay deferred this handle's index (boot stays cheap); the
+    // first SEARCH rebuilds it from the mmap'd payload and installs it for
+    // every later request. Two racing rebuilds are benign — the indexes
+    // are identical, the loser's copy is just dropped.
+    const auto build_started = std::chrono::steady_clock::now();
+    auto rebuilt = std::make_shared<const search::ReferenceIndex>(
+        entry.view, entry.build_k);
+    instruments_.index_rebuilds.add();
+    instruments_.ref_build_seconds.observe(
+        static_cast<double>(micros_between(
+            build_started, std::chrono::steady_clock::now())) *
+        1e-6);
     {
       std::lock_guard<std::mutex> lock(refs_mutex_);
       const auto it = refs_.find(request.ref_id);
-      if (it != refs_.end()) {
-        entry = it->second;
-        found = true;
-      }
+      if (it != refs_.end() && !it->second.index) it->second.index = rebuilt;
     }
-    if (!found) {
-      instruments_.search_ref_not_found.add();
-      frames_.reject(job.connection, request.request_id,
-                     ErrorCode::kRefNotFound,
-                     "reference id " + std::to_string(request.ref_id) +
-                         " is not registered");
-      return;
-    }
-    if (!entry.index && entry.build_k != 0) {
-      // Restart replay deferred this handle's index (boot stays cheap);
-      // the first SEARCH rebuilds it from the mmap'd payload and installs
-      // it for every later request. Two racing rebuilds are benign — the
-      // indexes are identical, the loser's copy is just dropped.
-      const auto build_started = std::chrono::steady_clock::now();
-      auto rebuilt = std::make_shared<const search::ReferenceIndex>(
-          entry.view, entry.build_k);
-      instruments_.index_rebuilds.add();
-      instruments_.ref_build_seconds.observe(
-          static_cast<double>(micros_between(
-              build_started, std::chrono::steady_clock::now())) *
-          1e-6);
-      {
-        std::lock_guard<std::mutex> lock(refs_mutex_);
-        const auto it = refs_.find(request.ref_id);
-        if (it != refs_.end() && !it->second.index) {
-          it->second.index = rebuilt;
-        }
-      }
-      entry.index = std::move(rebuilt);
-    }
-    if (!entry.index) {
-      // Registered via SEQ_END with build_index=false: alignable by
-      // handle, but not seed-searchable.
-      throw std::invalid_argument(
-          "reference id " + std::to_string(request.ref_id) +
-          " was stored without a k-mer index; re-upload with build_index");
-    }
-    const Alphabet& alphabet = alphabet_for(request.matrix);
-    if (&alphabet != &entry.view.alphabet()) {
-      throw std::invalid_argument(
-          std::string("matrix ") + to_string(request.matrix) +
-          " uses a different alphabet than the reference (registered with " +
-          to_string(entry.matrix) + ")");
-    }
-    if (request.gap_extend > 0) {
-      throw std::invalid_argument("gap penalty must be <= 0");
-    }
-    const ScoringScheme scheme(matrix_for(request.matrix),
-                               request.gap_extend);
-    const Sequence query(alphabet, request.query);
-
-    search::ChainedSearchParams params = config_.search_defaults;
-    if (request.max_hits != 0) params.max_hits = request.max_hits;
-    if (request.x_drop != 0) params.x_drop = request.x_drop;
-    if (request.gap_weight != 0) params.chain.gap_weight = request.gap_weight;
-    if (request.min_chain_score != 0) {
-      params.chain.min_chain_score = request.min_chain_score;
-    }
-    if (request.band_pad != 0) params.band_pad = request.band_pad;
-    if (request.max_overlap != 0) params.chain.max_overlap = request.max_overlap;
-    if (request.max_positions_per_kmer != 0) {
-      params.max_positions_per_kmer = request.max_positions_per_kmer;
-    }
-
-    search::ChainedSearchStats stats;
-    const std::vector<search::SearchHit> hits =
-        search::chained_search(query, *entry.index, scheme, params, &stats);
-    const auto done = std::chrono::steady_clock::now();
-
-    // Same contract as ALIGN: a deadline that expired mid-search answers
-    // DEADLINE_EXCEEDED, never a stale success.
-    std::int64_t deadline_remaining_ms = -1;
-    if (request.deadline_ms != 0) {
-      const auto deadline =
-          job.enqueued + std::chrono::milliseconds(request.deadline_ms);
-      if (done >= deadline) {
-        instruments_.rejected_deadline.add();
-        frames_.reject(job.connection, request.request_id,
-                       ErrorCode::kDeadlineExceeded,
-                       "deadline of " + std::to_string(request.deadline_ms) +
-                           " ms expired during execution; result discarded");
-        return;
-      }
-      deadline_remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                done)
-              .count();
-    }
-
-    SearchResponse response;
-    response.request_id = request.request_id;
-    response.hits.reserve(hits.size());
-    for (const search::SearchHit& hit : hits) {
-      WireHit wire;
-      wire.score = hit.alignment.score;
-      wire.q_begin = hit.alignment.a_begin;
-      wire.q_end = hit.alignment.a_end;
-      wire.s_begin = hit.alignment.b_begin;
-      wire.s_end = hit.alignment.b_end;
-      if (!request.score_only) wire.cigar = hit.alignment.cigar();
-      response.hits.push_back(std::move(wire));
-    }
-    response.anchors = stats.anchors;
-    response.chains = stats.chains;
-    response.queue_micros = micros_between(job.enqueued, started);
-    response.exec_micros = micros_between(started, done);
-    response.deadline_remaining_ms = deadline_remaining_ms;
-
-    instruments_.completed.add();
-    instruments_.search_completed.add();
-    instruments_.search_hits.add(response.hits.size());
-    instruments_.search_anchors.add(stats.anchors);
-    instruments_.queue_seconds.observe(
-        static_cast<double>(response.queue_micros) * 1e-6);
-    instruments_.search_exec_seconds.observe(
-        static_cast<double>(response.exec_micros) * 1e-6);
-    if (!frames_.respond(job.connection, encode(response))) {
-      instruments_.write_errors.add();
-    }
-  } catch (const std::invalid_argument& e) {
-    instruments_.bad_requests.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-                   e.what());
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
+    entry.index = std::move(rebuilt);
   }
+  if (!entry.index) {
+    // Registered via SEQ_END with build_index=false: alignable by handle,
+    // but not seed-searchable.
+    throw std::invalid_argument(
+        "reference id " + std::to_string(request.ref_id) +
+        " was stored without a k-mer index; re-upload with build_index");
+  }
+  const Alphabet& alphabet = alphabet_for(request.matrix);
+  if (&alphabet != &entry.view.alphabet()) {
+    throw std::invalid_argument(
+        std::string("matrix ") + to_string(request.matrix) +
+        " uses a different alphabet than the reference (registered with " +
+        to_string(entry.matrix) + ")");
+  }
+  if (request.gap_extend > 0) {
+    throw std::invalid_argument("gap penalty must be <= 0");
+  }
+  const ScoringScheme scheme(matrix_for(request.matrix), request.gap_extend);
+  const Sequence query(alphabet, request.query);
+
+  search::ChainedSearchParams params = config_.search_defaults;
+  if (request.max_hits != 0) params.max_hits = request.max_hits;
+  if (request.x_drop != 0) params.x_drop = request.x_drop;
+  if (request.gap_weight != 0) params.chain.gap_weight = request.gap_weight;
+  if (request.min_chain_score != 0) {
+    params.chain.min_chain_score = request.min_chain_score;
+  }
+  if (request.band_pad != 0) params.band_pad = request.band_pad;
+  if (request.max_overlap != 0) params.chain.max_overlap = request.max_overlap;
+  if (request.max_positions_per_kmer != 0) {
+    params.max_positions_per_kmer = request.max_positions_per_kmer;
+  }
+
+  search::ChainedSearchStats stats;
+  const std::vector<search::SearchHit> hits =
+      search::chained_search(query, *entry.index, scheme, params, &stats);
+  const auto done = std::chrono::steady_clock::now();
+
+  SearchResponse response;
+  response.request_id = request.request_id;
+  // Same contract as ALIGN: a deadline that expired mid-search answers
+  // DEADLINE_EXCEEDED, never a stale success.
+  response.deadline_remaining_ms =
+      remaining_ms(job.enqueued, request.deadline_ms, done, /*executed=*/true);
+  response.hits.reserve(hits.size());
+  for (const search::SearchHit& hit : hits) {
+    WireHit wire;
+    wire.score = hit.alignment.score;
+    wire.q_begin = hit.alignment.a_begin;
+    wire.q_end = hit.alignment.a_end;
+    wire.s_begin = hit.alignment.b_begin;
+    wire.s_end = hit.alignment.b_end;
+    if (!request.score_only) wire.cigar = hit.alignment.cigar();
+    response.hits.push_back(std::move(wire));
+  }
+  response.anchors = stats.anchors;
+  response.chains = stats.chains;
+  response.queue_micros = micros_between(job.enqueued, started);
+  response.exec_micros = micros_between(started, done);
+
+  instruments_.completed.add();
+  instruments_.search_completed.add();
+  instruments_.search_hits.add(response.hits.size());
+  instruments_.search_anchors.add(stats.anchors);
+  instruments_.queue_seconds.observe(
+      static_cast<double>(response.queue_micros) * 1e-6);
+  instruments_.search_exec_seconds.observe(
+      static_cast<double>(response.exec_micros) * 1e-6);
+  respond(job.connection, encode(response));
 }
 
 void AlignmentServer::handle_seq_begin(
     const std::shared_ptr<Connection>& connection,
     const SeqBeginRequest& request) {
-  instruments_.requests.add();
-  if (draining_.load(std::memory_order_acquire)) {
-    instruments_.rejected_shutdown.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kShuttingDown,
-                   "server is draining");
-    return;
-  }
-  if (request.upload_token == 0) {
-    instruments_.bad_requests.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                   "upload token must be nonzero");
-    return;
-  }
-  if (request.total_residues > config_.max_store_residues) {
-    instruments_.rejected_too_large.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
-                   "declared upload of " +
-                       std::to_string(request.total_residues) +
-                       " residues exceeds the store limit of " +
-                       std::to_string(config_.max_store_residues));
-    return;
-  }
-  if (injector_ && injector_->active() && injector_->inject_reject()) {
-    instruments_.rejected_overloaded.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kOverloaded,
-                   "fault injection: admission rejected");
-    return;
-  }
-  try {
-    SeqOkResponse response;
-    response.request_id = request.request_id;
-    response.upload_token = request.upload_token;
-    {
-      std::lock_guard<std::mutex> lock(uploads_mutex_);
-      auto it = uploads_.find(request.upload_token);
-      if (it != uploads_.end()) {
-        // Resume: a re-BEGIN with a known token answers how far the
-        // previous attempt got; the client continues from next_offset.
-        instruments_.upload_resumes.add();
-        it->second.last_activity = std::chrono::steady_clock::now();
-        response.next_offset = it->second.received;
-        response.residues = it->second.received;
-      } else {
-        if (uploads_.size() >= config_.max_uploads_in_flight) {
-          instruments_.rejected_overloaded.add();
-          frames_.reject(connection, request.request_id, ErrorCode::kOverloaded,
-                         "too many uploads in flight (" +
-                             std::to_string(config_.max_uploads_in_flight) +
-                             ")");
-          return;
-        }
-        const Alphabet& alphabet = alphabet_for(request.matrix);
-        Upload upload;
-        upload.path =
-            store_dir_ + "/up" +
-            std::to_string(
-                next_store_file_.fetch_add(1, std::memory_order_relaxed)) +
-            ".flsa";
-        upload.writer =
-            std::make_unique<store::StoreWriter>(upload.path, alphabet);
-        upload.matrix = request.matrix;
-        upload.name = request.name;
-        upload.declared_total = request.total_residues;
-        upload.rolling_hash = kFnvOffsetBasis;
-        upload.last_activity = std::chrono::steady_clock::now();
-        uploads_.emplace(request.upload_token, std::move(upload));
-        instruments_.uploads_started.add();
-        instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
+  SeqOkResponse response;
+  response.request_id = request.request_id;
+  response.upload_token = request.upload_token;
+  {
+    std::lock_guard<std::mutex> lock(uploads_mutex_);
+    auto it = uploads_.find(request.upload_token);
+    if (it != uploads_.end()) {
+      // Resume: a re-BEGIN with a known token answers how far the
+      // previous attempt got; the client continues from next_offset.
+      instruments_.upload_resumes.add();
+      it->second.last_activity = std::chrono::steady_clock::now();
+      response.next_offset = it->second.received;
+      response.residues = it->second.received;
+    } else {
+      if (uploads_.size() >= config_.max_uploads_in_flight) {
+        throw Refusal(ErrorCode::kOverloaded,
+                      "too many uploads in flight (" +
+                          std::to_string(config_.max_uploads_in_flight) + ")");
       }
+      Upload upload;
+      upload.path = store_dir_ + "/up" +
+                    std::to_string(next_store_file_.fetch_add(
+                        1, std::memory_order_relaxed)) +
+                    ".flsa";
+      upload.writer = std::make_unique<store::StoreWriter>(
+          upload.path, alphabet_for(request.matrix));
+      upload.matrix = request.matrix;
+      upload.name = request.name;
+      upload.declared_total = request.total_residues;
+      upload.rolling_hash = kFnvOffsetBasis;
+      upload.last_activity = std::chrono::steady_clock::now();
+      uploads_.emplace(request.upload_token, std::move(upload));
+      instruments_.uploads_started.add();
+      instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
     }
-    instruments_.completed.add();
-    if (!frames_.respond(connection, encode(response))) {
-      instruments_.write_errors.add();
-    }
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
   }
+  instruments_.completed.add();
+  respond(connection, encode(response));
 }
 
 void AlignmentServer::handle_seq_chunk(
     const std::shared_ptr<Connection>& connection,
     const SeqChunkRequest& request) {
-  instruments_.requests.add();
-  if (draining_.load(std::memory_order_acquire)) {
-    instruments_.rejected_shutdown.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kShuttingDown,
-                   "server is draining");
-    return;
-  }
-  try {
-    SeqOkResponse response;
-    response.request_id = request.request_id;
-    response.upload_token = request.upload_token;
-    {
-      std::lock_guard<std::mutex> lock(uploads_mutex_);
-      const auto it = uploads_.find(request.upload_token);
-      if (it == uploads_.end()) {
-        instruments_.bad_requests.add();
-        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                       "unknown upload token " +
-                           std::to_string(request.upload_token) +
-                           " (send SEQ_BEGIN first)");
-        return;
-      }
-      Upload& upload = it->second;
-      upload.last_activity = std::chrono::steady_clock::now();
-      const std::uint64_t chunk_end =
-          add_sat_u64(request.offset, request.data.size());
-      if (chunk_end <= upload.received) {
-        // Replay of bytes already applied (a retry after a lost SEQ_OK):
-        // acknowledge idempotently, append nothing.
-        response.next_offset = upload.received;
-        response.residues = upload.received;
-      } else if (request.offset != upload.received) {
+  SeqOkResponse response;
+  response.request_id = request.request_id;
+  response.upload_token = request.upload_token;
+  {
+    std::lock_guard<std::mutex> lock(uploads_mutex_);
+    const auto it = uploads_.find(request.upload_token);
+    if (it == uploads_.end()) {
+      throw Refusal(ErrorCode::kBadRequest,
+                    "unknown upload token " +
+                        std::to_string(request.upload_token) +
+                        " (send SEQ_BEGIN first)");
+    }
+    Upload& upload = it->second;
+    // Voids the session (StoreWriter's destructor unlinks the partial
+    // file) and refuses the chunk.
+    const auto abort_upload = [&](ErrorCode code, const std::string& message) {
+      uploads_.erase(it);
+      instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
+      throw Refusal(code, message);
+    };
+    upload.last_activity = std::chrono::steady_clock::now();
+    const std::uint64_t chunk_end =
+        add_sat_u64(request.offset, request.data.size());
+    if (chunk_end > upload.received) {
+      if (request.offset != upload.received) {
         // A gap (or partial overlap) — the session stays open so the
         // client can re-BEGIN, learn next_offset, and resume correctly.
-        instruments_.bad_requests.add();
-        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                       "chunk at offset " + std::to_string(request.offset) +
-                           " does not resume at " +
-                           std::to_string(upload.received));
-        return;
-      } else {
-        if (chunk_end > config_.max_store_residues ||
-            (upload.declared_total != 0 &&
-             chunk_end > upload.declared_total)) {
-          // Past the declared (or absolute) size: the session is void.
-          const std::string message =
-              "upload grew to " + std::to_string(chunk_end) +
-              " residues, past " +
-              std::to_string(upload.declared_total != 0
-                                 ? upload.declared_total
-                                 : config_.max_store_residues);
-          uploads_.erase(it);  // StoreWriter dtor unlinks the partial file
-          instruments_.uploads_active.set(
-              static_cast<double>(uploads_.size()));
-          instruments_.rejected_too_large.add();
-          frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
-                         message);
-          return;
-        }
-        const std::uint64_t rolled =
-            fnv1a64(request.data.data(), request.data.size(),
-                    upload.rolling_hash);
-        if (request.prefix_hash != 0 && request.prefix_hash != rolled) {
-          // The client's prefix checksum disagrees with what the store
-          // actually received: some earlier byte was corrupted in
-          // flight, so nothing already written can be trusted.
-          uploads_.erase(it);
-          instruments_.uploads_active.set(
-              static_cast<double>(uploads_.size()));
-          instruments_.bad_requests.add();
-          frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                         "prefix checksum mismatch at offset " +
-                             std::to_string(chunk_end) + "; upload aborted");
-          return;
-        }
-        try {
-          upload.writer->append_letters(request.data);
-        } catch (const std::invalid_argument& e) {
-          const std::string message = e.what();
-          uploads_.erase(it);
-          instruments_.uploads_active.set(
-              static_cast<double>(uploads_.size()));
-          instruments_.bad_requests.add();
-          frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                         message + "; upload aborted");
-          return;
-        }
-        upload.received = chunk_end;
-        upload.rolling_hash = rolled;
-        instruments_.upload_chunks.add();
-        instruments_.upload_bytes.add(request.data.size());
-        response.next_offset = upload.received;
-        response.residues = upload.received;
+        throw Refusal(ErrorCode::kBadRequest,
+                      "chunk at offset " + std::to_string(request.offset) +
+                          " does not resume at " +
+                          std::to_string(upload.received));
       }
+      const std::uint64_t limit = upload.declared_total != 0
+                                      ? upload.declared_total
+                                      : config_.max_store_residues;
+      if (chunk_end > config_.max_store_residues || chunk_end > limit) {
+        abort_upload(ErrorCode::kTooLarge,
+                     "upload grew to " + std::to_string(chunk_end) +
+                         " residues, past " + std::to_string(limit));
+      }
+      const std::uint64_t rolled = fnv1a64(
+          request.data.data(), request.data.size(), upload.rolling_hash);
+      if (request.prefix_hash != 0 && request.prefix_hash != rolled) {
+        // The client's prefix checksum disagrees with what the store
+        // actually received: some earlier byte was corrupted in flight,
+        // so nothing already written can be trusted.
+        abort_upload(ErrorCode::kBadRequest,
+                     "prefix checksum mismatch at offset " +
+                         std::to_string(chunk_end) + "; upload aborted");
+      }
+      try {
+        upload.writer->append_letters(request.data);
+      } catch (const std::invalid_argument& e) {
+        abort_upload(ErrorCode::kBadRequest,
+                     std::string(e.what()) + "; upload aborted");
+      }
+      upload.received = chunk_end;
+      upload.rolling_hash = rolled;
+      instruments_.upload_chunks.add();
+      instruments_.upload_bytes.add(request.data.size());
     }
-    instruments_.completed.add();
-    if (!frames_.respond(connection, encode(response))) {
-      instruments_.write_errors.add();
-    }
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
+    // A chunk entirely below the high-water mark is the replay of bytes
+    // already applied (a retry after a lost SEQ_OK): acknowledged, not
+    // appended.
+    response.next_offset = upload.received;
+    response.residues = upload.received;
   }
+  instruments_.completed.add();
+  respond(connection, encode(response));
 }
 
 void AlignmentServer::handle_seq_end(
     const std::shared_ptr<Connection>& connection,
     const SeqEndRequest& request) {
-  instruments_.requests.add();
-  try {
-    Upload upload;
-    {
-      std::lock_guard<std::mutex> lock(uploads_mutex_);
-      const auto it = uploads_.find(request.upload_token);
-      if (it == uploads_.end()) {
-        instruments_.bad_requests.add();
-        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                       "unknown upload token " +
-                           std::to_string(request.upload_token) +
-                           " (send SEQ_BEGIN first)");
-        return;
-      }
-      it->second.last_activity = std::chrono::steady_clock::now();
-      if (request.total_residues != it->second.received) {
-        // Wrong length but the bytes present are fine: keep the session
-        // so the client can resume the missing tail.
-        instruments_.bad_requests.add();
-        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                       "SEQ_END declares " +
-                           std::to_string(request.total_residues) +
-                           " residues but " +
-                           std::to_string(it->second.received) +
-                           " were received; resume from there or abort");
-        return;
-      }
-      if (request.total_hash != 0 &&
-          request.total_hash != it->second.rolling_hash) {
-        const std::string message =
-            "whole-sequence checksum mismatch; upload aborted";
-        uploads_.erase(it);
-        instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
-        instruments_.bad_requests.add();
-        frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                       message);
-        return;
-      }
-      upload = std::move(it->second);
-      uploads_.erase(it);
-      instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
+  Upload upload;
+  {
+    std::lock_guard<std::mutex> lock(uploads_mutex_);
+    const auto it = uploads_.find(request.upload_token);
+    if (it == uploads_.end()) {
+      throw Refusal(ErrorCode::kBadRequest,
+                    "unknown upload token " +
+                        std::to_string(request.upload_token) +
+                        " (send SEQ_BEGIN first)");
     }
-    // Seal and register outside uploads_mutex_: finalize fsyncs and a
-    // requested index build is CPU work; neither should stall other
-    // connections' chunks.
-    std::uint32_t build_k = 0;
-    if (request.build_index) {
-      search::KmerIndex::require_indexable(upload.received);
-      build_k = request.k != 0 ? request.k
-                               : default_seed_k(config_, upload.matrix);
+    it->second.last_activity = std::chrono::steady_clock::now();
+    if (request.total_residues != it->second.received) {
+      // Wrong length but the bytes present are fine: keep the session so
+      // the client can resume the missing tail.
+      throw Refusal(ErrorCode::kBadRequest,
+                    "SEQ_END declares " +
+                        std::to_string(request.total_residues) +
+                        " residues but " +
+                        std::to_string(it->second.received) +
+                        " were received; resume from there or abort");
     }
-    upload.writer->finish_record(upload.name);
-    upload.writer->finalize();
-    upload.writer.reset();
-
-    std::uint64_t distinct = 0;
-    const std::uint64_t ref_id = register_store_file(
-        upload.path, upload.matrix, build_k, &distinct,
-        durable_token(upload.rolling_hash, upload.matrix), upload.name);
-    instruments_.uploads_sealed.add();
-    instruments_.ref_puts.add();
-    instruments_.ref_residues.add(upload.received);
-    instruments_.completed.add();
-
-    SeqOkResponse response;
-    response.request_id = request.request_id;
-    response.upload_token = request.upload_token;
-    response.next_offset = upload.received;
-    response.ref_id = ref_id;
-    response.residues = upload.received;
-    if (!frames_.respond(connection, encode(response))) {
-      instruments_.write_errors.add();
+    const bool hash_ok = request.total_hash == 0 ||
+                         request.total_hash == it->second.rolling_hash;
+    upload = std::move(it->second);
+    uploads_.erase(it);
+    instruments_.uploads_active.set(static_cast<double>(uploads_.size()));
+    if (!hash_ok) {
+      throw Refusal(ErrorCode::kBadRequest,
+                    "whole-sequence checksum mismatch; upload aborted");
     }
-  } catch (const search::SubjectTooLarge& e) {
-    instruments_.rejected_too_large.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kTooLarge,
-                   e.what());
-  } catch (const std::invalid_argument& e) {
-    instruments_.bad_requests.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kBadRequest,
-                   e.what());
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
   }
+  // Seal and register outside uploads_mutex_: finalize fsyncs and a
+  // requested index build is CPU work; neither should stall other
+  // connections' chunks.
+  std::uint32_t build_k = 0;
+  if (request.build_index) {
+    search::KmerIndex::require_indexable(upload.received);
+    build_k =
+        request.k != 0 ? request.k : default_seed_k(config_, upload.matrix);
+  }
+  upload.writer->finish_record(upload.name);
+  upload.writer->finalize();
+  upload.writer.reset();
+
+  std::uint64_t distinct = 0;
+  const std::uint64_t ref_id = register_store_file(
+      upload.path, upload.matrix, build_k, &distinct,
+      durable_token(upload.rolling_hash, upload.matrix), upload.name);
+  instruments_.uploads_sealed.add();
+  instruments_.ref_puts.add();
+  instruments_.ref_residues.add(upload.received);
+  instruments_.completed.add();
+
+  SeqOkResponse response;
+  response.request_id = request.request_id;
+  response.upload_token = request.upload_token;
+  response.next_offset = upload.received;
+  response.ref_id = ref_id;
+  response.residues = upload.received;
+  respond(connection, encode(response));
 }
 
-void AlignmentServer::execute_align_ref(Aligner& aligner, Job& job,
-                                        const AlignRefRequest& request) {
+void AlignmentServer::execute_align_ref(Aligner& aligner, const Job& job,
+                                        const AlignRefRequest& request,
+                                        const RefEntry& a_entry,
+                                        const RefEntry* b_entry) {
   const auto started = std::chrono::steady_clock::now();
-  try {
-    RefEntry entry_a;
-    RefEntry entry_b;
-    bool found_a = false;
-    bool found_b = request.ref_b == 0;  // inline b needs no lookup
-    {
-      std::lock_guard<std::mutex> lock(refs_mutex_);
-      const auto a_it = refs_.find(request.ref_a);
-      if (a_it != refs_.end()) {
-        entry_a = a_it->second;
-        found_a = true;
-      }
-      if (request.ref_b != 0) {
-        const auto b_it = refs_.find(request.ref_b);
-        if (b_it != refs_.end()) {
-          entry_b = b_it->second;
-          found_b = true;
-        }
-      }
-    }
-    if (!found_a || !found_b) {
-      instruments_.search_ref_not_found.add();
-      const std::uint64_t missing = found_a ? request.ref_b : request.ref_a;
-      frames_.reject(job.connection, request.request_id,
-                     ErrorCode::kRefNotFound,
-                     "reference id " + std::to_string(missing) +
-                         " is not registered");
-      return;
-    }
-    const Alphabet& alphabet = alphabet_for(request.matrix);
-    if (&alphabet != &entry_a.view.alphabet() ||
-        (request.ref_b != 0 && &alphabet != &entry_b.view.alphabet())) {
+  const Alphabet& alphabet = alphabet_for(request.matrix);
+  if (&alphabet != &a_entry.view.alphabet() ||
+      (b_entry != nullptr && &alphabet != &b_entry->view.alphabet())) {
+    throw std::invalid_argument(
+        std::string("matrix ") + to_string(request.matrix) +
+        " uses a different alphabet than the stored reference");
+  }
+  if (request.gap_open > 0 || request.gap_extend > 0) {
+    throw std::invalid_argument("gap penalties must be <= 0");
+  }
+
+  // Materialize the packed views into byte sequences for the DP engine:
+  // linear in the sequence lengths (megabytes), while the matrix the band
+  // avoids is quadratic (terabytes at this scale).
+  const Sequence a = a_entry.view.materialize();
+  const Sequence b = b_entry != nullptr ? b_entry->view.materialize()
+                                        : Sequence(alphabet, request.b);
+
+  Alignment alignment;
+  DpCounters counters;
+  if (request.band != 0) {
+    if (request.gap_open != 0) {
       throw std::invalid_argument(
-          std::string("matrix ") + to_string(request.matrix) +
-          " uses a different alphabet than the stored reference");
+          "banded ALIGN_REF requires linear gap penalties (gap_open = 0)");
     }
-    if (request.gap_open > 0 || request.gap_extend > 0) {
-      throw std::invalid_argument("gap penalties must be <= 0");
+    // Band geometry: j - i spans [-w, (n - m) + w]; when m - n > 2w the
+    // range is empty and no monotone path reaches the corner.
+    if (a.size() > b.size() &&
+        a.size() - b.size() > 2 * std::uint64_t{request.band}) {
+      throw std::invalid_argument(
+          "band half-width " + std::to_string(request.band) +
+          " cannot cover a length difference of " +
+          std::to_string(a.size() - b.size()));
     }
-
-    // Materialize the packed views into byte sequences for the DP engine:
-    // linear in the sequence lengths (megabytes), while the matrix the
-    // band avoids is quadratic (terabytes at this scale).
-    const Sequence a = entry_a.view.materialize();
-    const Sequence b = request.ref_b != 0 ? entry_b.view.materialize()
-                                          : Sequence(alphabet, request.b);
-
-    Alignment alignment;
-    DpCounters counters;
-    if (request.band != 0) {
-      if (request.gap_open != 0) {
-        throw std::invalid_argument(
-            "banded ALIGN_REF requires linear gap penalties (gap_open = 0)");
-      }
-      // Band geometry: j - i spans [-w, (n - m) + w]; when m - n > 2w the
-      // range is empty and no monotone path reaches the corner.
-      if (a.size() > b.size() &&
-          a.size() - b.size() > 2 * std::uint64_t{request.band}) {
-        throw std::invalid_argument(
-            "band half-width " + std::to_string(request.band) +
-            " cannot cover a length difference of " +
-            std::to_string(a.size() - b.size()));
-      }
-      const ScoringScheme scheme(matrix_for(request.matrix),
-                                 request.gap_extend);
-      alignment = banded_align(a, b, scheme, request.band, &counters);
-    } else {
-      const SubstitutionMatrix& matrix = matrix_for(request.matrix);
-      const ScoringScheme scheme =
-          request.gap_open == 0
-              ? ScoringScheme(matrix, request.gap_extend)
-              : ScoringScheme(matrix, request.gap_open, request.gap_extend);
-      AlignOptions options = aligner.options();
-      if (request.k != 0) options.fastlsa.k = request.k;
-      if (request.base_case_cells != 0) {
-        options.fastlsa.base_case_cells = request.base_case_cells;
-      }
-      validate(options.fastlsa);
-      options.fastlsa.workspace = &aligner.workspace();
-      alignment = flsa::align(a, b, scheme, options);
+    const ScoringScheme scheme(matrix_for(request.matrix), request.gap_extend);
+    alignment = banded_align(a, b, scheme, request.band, &counters);
+  } else {
+    const SubstitutionMatrix& matrix = matrix_for(request.matrix);
+    const ScoringScheme scheme =
+        request.gap_open == 0
+            ? ScoringScheme(matrix, request.gap_extend)
+            : ScoringScheme(matrix, request.gap_open, request.gap_extend);
+    AlignOptions options = aligner.options();
+    if (request.k != 0) options.fastlsa.k = request.k;
+    if (request.base_case_cells != 0) {
+      options.fastlsa.base_case_cells = request.base_case_cells;
     }
-    const auto done = std::chrono::steady_clock::now();
+    validate(options.fastlsa);
+    options.fastlsa.workspace = &aligner.workspace();
+    alignment = flsa::align(a, b, scheme, options);
+  }
+  const auto done = std::chrono::steady_clock::now();
+  const std::int64_t deadline_remaining_ms =
+      remaining_ms(job.enqueued, request.deadline_ms, done, /*executed=*/true);
 
-    std::int64_t deadline_remaining_ms = -1;
-    if (request.deadline_ms != 0) {
-      const auto deadline =
-          job.enqueued + std::chrono::milliseconds(request.deadline_ms);
-      if (done >= deadline) {
-        instruments_.rejected_deadline.add();
-        frames_.reject(job.connection, request.request_id,
-                       ErrorCode::kDeadlineExceeded,
-                       "deadline of " + std::to_string(request.deadline_ms) +
-                           " ms expired during execution; result discarded");
-        return;
-      }
-      deadline_remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                done)
-              .count();
+  const std::string cigar =
+      request.score_only ? std::string() : alignment.cigar();
+  const std::uint64_t cells = request.band != 0
+                                  ? counters.cells_stored
+                                  : estimated_cells(a.size(), b.size());
+
+  // Stream the answer in bounded frames: every frame carries the full
+  // trailer (authoritative on the last), so a client that only wants the
+  // score can stop at frame 0 and a reassembler can size-check as it
+  // goes. Always at least one frame, even for an empty cigar.
+  const std::size_t slice = config_.align_part_chars != 0
+                                ? config_.align_part_chars
+                                : std::size_t{1} << 20;
+  const std::size_t parts =
+      cigar.empty() ? 1 : (cigar.size() + slice - 1) / slice;
+  instruments_.completed.add();
+  instruments_.cells.add(cells);
+  instruments_.queue_seconds.observe(
+      static_cast<double>(micros_between(job.enqueued, started)) * 1e-6);
+  instruments_.exec_seconds.observe(
+      static_cast<double>(micros_between(started, done)) * 1e-6);
+  for (std::size_t part = 0; part < parts; ++part) {
+    AlignPartResponse response;
+    response.request_id = request.request_id;
+    response.seq = static_cast<std::uint32_t>(part);
+    response.last = part + 1 == parts;
+    response.score = alignment.score;
+    response.cells = cells;
+    response.queue_micros = micros_between(job.enqueued, started);
+    response.exec_micros = micros_between(started, done);
+    response.deadline_remaining_ms = deadline_remaining_ms;
+    if (!cigar.empty()) {
+      const std::size_t begin = part * slice;
+      response.cigar_part =
+          cigar.substr(begin, std::min(slice, cigar.size() - begin));
     }
-
-    const std::string cigar =
-        request.score_only ? std::string() : alignment.cigar();
-    const std::uint64_t cells =
-        request.band != 0
-            ? counters.cells_stored
-            : estimated_cells(a.size(), b.size());
-
-    // Stream the answer in bounded frames: every frame carries the full
-    // trailer (authoritative on the last), so a client that only wants
-    // the score can stop at frame 0 and a reassembler can size-check as
-    // it goes. Always at least one frame, even for an empty cigar.
-    const std::size_t slice = config_.align_part_chars != 0
-                                  ? config_.align_part_chars
-                                  : std::size_t{1} << 20;
-    const std::size_t parts =
-        cigar.empty() ? 1 : (cigar.size() + slice - 1) / slice;
-    instruments_.completed.add();
-    instruments_.cells.add(cells);
-    instruments_.queue_seconds.observe(
-        static_cast<double>(micros_between(job.enqueued, started)) * 1e-6);
-    instruments_.exec_seconds.observe(
-        static_cast<double>(micros_between(started, done)) * 1e-6);
-    for (std::size_t part = 0; part < parts; ++part) {
-      AlignPartResponse response;
-      response.request_id = request.request_id;
-      response.seq = static_cast<std::uint32_t>(part);
-      response.last = part + 1 == parts;
-      response.score = alignment.score;
-      response.cells = cells;
-      response.queue_micros = micros_between(job.enqueued, started);
-      response.exec_micros = micros_between(started, done);
-      response.deadline_remaining_ms = deadline_remaining_ms;
-      if (!cigar.empty()) {
-        const std::size_t begin = part * slice;
-        response.cigar_part =
-            cigar.substr(begin, std::min(slice, cigar.size() - begin));
-      }
-      instruments_.align_parts.add();
-      if (!frames_.respond(job.connection, encode(response))) {
-        instruments_.write_errors.add();
-        return;  // peer is gone; the remaining parts have no reader
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    instruments_.bad_requests.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kBadRequest,
-                   e.what());
-  } catch (const std::exception& e) {
-    instruments_.internal_errors.add();
-    frames_.reject(job.connection, request.request_id, ErrorCode::kInternal,
-                   e.what());
+    instruments_.align_parts.add();
+    // A peer that is gone has no reader for the remaining parts.
+    if (!respond(job.connection, encode(response))) return;
   }
 }
 
@@ -1566,7 +1335,6 @@ void AlignmentServer::answer_stats(
 void AlignmentServer::answer_ref_list(
     const std::shared_ptr<Connection>& connection,
     const RefListRequest& request) {
-  instruments_.requests.add();
   RefListResponse response;
   response.request_id = request.request_id;
   {
@@ -1585,9 +1353,7 @@ void AlignmentServer::answer_ref_list(
     }
   }
   instruments_.completed.add();
-  if (!frames_.respond(connection, encode(response))) {
-    instruments_.write_errors.add();
-  }
+  respond(connection, encode(response));
 }
 
 }  // namespace service

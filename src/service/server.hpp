@@ -39,11 +39,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "core/aligner.hpp"
@@ -182,16 +182,24 @@ class AlignmentServer {
 
  private:
   using Connection = FrameServer::Connection;
-  /// Work the worker pool executes. REF_PUT rides the same queue as the
-  /// DP verbs so index builds obey admission control and drain ordering;
-  /// ALIGN_BATCH runs all jobs on one worker's Aligner so the coalesced
-  /// frame amortizes workspace reuse (the router's coalescing contract).
-  using Work = std::variant<AlignRequest, RefPutRequest, SearchRequest,
-                            AlignBatchRequest, AlignRefRequest>;
+  struct Job;
+  /// A queued verb's executor with its request bound; run by a worker.
+  using Executor = std::function<void(Aligner&, const Job&)>;
   struct Job {
     std::shared_ptr<Connection> connection;
-    Work work;
+    std::uint64_t request_id = 0;
+    std::uint32_t deadline_ms = 0;  ///< 0 = none
     std::chrono::steady_clock::time_point enqueued;
+    Executor execute;
+  };
+
+  /// A verb's admission charge: `amount` of `unit` against `limit`; over
+  /// the limit answers TOO_LARGE.
+  struct Charge {
+    std::uint64_t amount = 0;
+    std::uint64_t limit = 0;
+    const char* what = "";
+    const char* unit = "";
   };
 
   /// One registered reference, living in the packed store: a zero-copy
@@ -230,40 +238,53 @@ class AlignmentServer {
     std::chrono::steady_clock::time_point last_activity{};
   };
 
-  void worker_loop(unsigned worker_index);
+  void worker_loop();
 
-  /// Handles one decoded request on the connection thread (admission,
-  /// STATS, rejections). Alignment/search/index work is enqueued, never
-  /// run here.
+  /// The verb table: one std::visit whose arm per verb counts it, runs its
+  /// admission steps, and either answers inline on the connection thread
+  /// or enqueues its executor for a worker.
   void handle_request(const std::shared_ptr<Connection>& connection,
                       Request request);
-  /// Admission tail shared by every queued verb: counts in_flight,
-  /// pushes, and answers OVERLOADED/SHUTTING_DOWN on failure.
+
+  // Admission steps; each throws the typed refusal that failure() answers.
+  void refuse_while_draining() const;
+  void check_budget(const Charge& charge) const;
+  void admission_fault_site();
+  /// The queued verbs' admission tail: drain check, budget, fault site,
+  /// then the bounded queue (full -> OVERLOADED, closed -> SHUTTING_DOWN).
   void enqueue(const std::shared_ptr<Connection>& connection,
-               std::uint64_t request_id, Work work);
-  void execute(Aligner& aligner, Job& job);
-  /// Runs one ALIGN job (deadline pre-check, align, deadline re-check)
-  /// and returns the per-job outcome without writing to the wire — the
-  /// shared core of execute_align and execute_align_batch.
-  BatchItem run_align(Aligner& aligner,
-                      std::chrono::steady_clock::time_point enqueued,
-                      const AlignRequest& request);
-  void execute_align(Aligner& aligner, Job& job, const AlignRequest& request);
-  void execute_align_batch(Aligner& aligner, Job& job,
+               std::uint64_t request_id, std::uint32_t deadline_ms,
+               const Charge& charge, Executor execute);
+
+  /// Called only inside a catch block: turns the exception in flight into
+  /// the typed ErrorResponse for `request_id` and counts it under the
+  /// counter its ErrorCode names. The one failure path of every verb.
+  ErrorResponse failure(std::uint64_t request_id);
+  /// Writes one answer; a peer that is gone counts in write_errors.
+  bool respond(const std::shared_ptr<Connection>& connection,
+               const std::string& payload);
+  /// Copy of a registered handle; REF_NOT_FOUND when it is not.
+  RefEntry find_ref(std::uint64_t ref_id);
+
+  // Executors. Each answers on success (run_align returns its answer)
+  // and throws on failure.
+  /// One ALIGN (deadline pre-check, align, deadline re-check); shared by
+  /// ALIGN and every job of an ALIGN_BATCH.
+  AlignResponse run_align(Aligner& aligner,
+                          std::chrono::steady_clock::time_point enqueued,
+                          const AlignRequest& request);
+  void execute_align_batch(Aligner& aligner, const Job& job,
                            const AlignBatchRequest& request);
-  void execute_ref_put(Job& job, const RefPutRequest& request);
-  void execute_search(Job& job, const SearchRequest& request);
-  void execute_align_ref(Aligner& aligner, Job& job,
-                         const AlignRefRequest& request);
+  void execute_ref_put(const Job& job, const RefPutRequest& request);
+  void execute_search(const Job& job, const SearchRequest& request);
+  /// `b` is null when the second sequence is inline in the request.
+  void execute_align_ref(Aligner& aligner, const Job& job,
+                         const AlignRefRequest& request, const RefEntry& a,
+                         const RefEntry* b);
   void answer_stats(const std::shared_ptr<Connection>& connection,
                     const StatsRequest& request);
-  /// REF_LIST is a pure read of refs_ (one brief lock), answered inline
-  /// on the connection thread like STATS.
   void answer_ref_list(const std::shared_ptr<Connection>& connection,
                        const RefListRequest& request);
-
-  // Upload sessions run inline on the connection thread (chunk order is
-  // the connection's frame order; the worker pool would reorder them).
   void handle_seq_begin(const std::shared_ptr<Connection>& connection,
                         const SeqBeginRequest& request);
   void handle_seq_chunk(const std::shared_ptr<Connection>& connection,

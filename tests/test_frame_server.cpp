@@ -1,9 +1,10 @@
 // The shared connection layer. The first half drives service::FrameServer
 // directly with a fake handler: the connection cap, the idle deadline and
-// its in-flight exemption, the malformed-frame rule, and shutdown. The
-// second half checks over raw sockets that the daemon and the router,
-// which both run on that layer, answer and count malformed frames and
-// refused connections the same way, each under its own metric names.
+// its in-flight exemption, the malformed-frame rule, a throwing handler,
+// and shutdown. The second half checks over raw sockets that the daemon
+// and the router, which both run on that layer, answer every verb, and
+// answer and count malformed frames and refused connections the same way,
+// each under its own metric names.
 // These run under TSan in CI.
 #include <gtest/gtest.h>
 
@@ -17,8 +18,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -268,6 +271,32 @@ TEST(FrameServer, CloseConnectionsEndsEveryPeerAndRespondFails) {
   }
 }
 
+TEST(FrameServer, HandlerExceptionHangsUpThePeer) {
+  // A handler that throws is a dispatch bug; the peer must see EOF, not
+  // wait on a socket nobody reads any more.
+  const std::string prefix = "frame_test.throwing.";
+  FrameServer::Limits limits;
+  limits.host = "127.0.0.1";
+  FrameServer server(
+      limits,
+      FrameServer::Counters{
+          obs::metrics().counter(prefix + "connections"),
+          obs::metrics().counter(prefix + "rejected.connection_limit"),
+          obs::metrics().counter(prefix + "bad_requests"),
+          obs::metrics().counter(prefix + "write_errors")},
+      [](const FrameServer::ConnectionPtr&, Request) {
+        throw std::logic_error("handler bug");
+      });
+  server.listen();
+  server.start_accepting();
+  const int fd = connect_raw(server.port());
+  send_stats(fd, 1);
+  EXPECT_TRUE(sees_eof(fd));  // well before the 5 s guard
+  ::close(fd);
+  server.stop_accepting();
+  server.close_connections();
+}
+
 // ---- The same rules through the daemon and the router -----------------
 
 enum class Tier { kDaemon, kRouter };
@@ -300,6 +329,23 @@ class TierFrames : public ::testing::TestWithParam<Tier> {
 
   std::uint16_t port() const {
     return router_ ? router_->port() : daemon_->port();
+  }
+
+  /// Sends `request` under `id` on a fresh connection and expects one
+  /// decodable answer echoing that id within the 5 s receive guard.
+  void expect_typed_answer(Request request, std::uint64_t id) {
+    request_id(request) = id;
+    const int fd = connect_raw(port());
+    ASSERT_TRUE(write_frame(fd, encode(request)));
+    std::string payload;
+    try {
+      ASSERT_TRUE(read_frame(fd, &payload)) << "verb #" << id << ": EOF";
+      const Response response = decode_response(payload);
+      EXPECT_EQ(request_id(response), id) << "verb #" << id;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "verb #" << id << ": no answer: " << e.what();
+    }
+    ::close(fd);
   }
 
   /// `<tier>.<name>`: the tier's own metric.
@@ -356,6 +402,15 @@ TEST_P(TierFrames, ConnectionOverTheCapIsRefusedAndCounted) {
   ::close(fd);
   EXPECT_EQ(metric("connections"), accepted + 1);
   EXPECT_EQ(metric("rejected.connection_limit"), refused + 1);
+}
+
+TEST_P(TierFrames, EveryVerbIsAnsweredWithATypedFrame) {
+  // A default-constructed instance of every Request alternative: each
+  // tier must answer each one, with a result or a typed error.
+  start(/*max_connections=*/16, kMaxFrameBytes);
+  [this]<std::size_t... I>(std::index_sequence<I...>) {
+    (expect_typed_answer(Request(std::in_place_index<I>), I + 1), ...);
+  }(std::make_index_sequence<std::variant_size_v<Request>>{});
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,10 +3,9 @@
 //
 // Speaks the same wire protocol as flsa_serve to clients, and routes:
 // REF_PUT/SEARCH by rendezvous hashing on the reference id (replication
-// factor --replication), ALIGN least-loaded; small queued ALIGNs are
-// coalesced into ALIGN_BATCH frames. SIGINT/SIGTERM drain gracefully:
-// stop accepting, finish in-flight requests, answer stragglers
-// SHUTTING_DOWN, exit 0.
+// factor --replication), ALIGN least-loaded. SIGINT/SIGTERM drain
+// gracefully: stop accepting, finish in-flight requests, answer
+// stragglers SHUTTING_DOWN, exit 0.
 //
 //   flsa_router --port 7420 --backends 127.0.0.1:7421,127.0.0.1:7422
 //   flsa_router --port 0 --port-file /tmp/port --backend-file backends.txt
@@ -81,7 +80,7 @@ int main(int argc, char** argv) {
   flsa::CliParser cli(
       "flsa_router: sharded front tier for flsa_serve fleets. Speaks the "
       "wire protocol of docs/service.md to clients; routes REF_PUT/SEARCH "
-      "by rendezvous hashing, ALIGN least-loaded, with batch coalescing. "
+      "by rendezvous hashing, ALIGN least-loaded. "
       "SIGINT/SIGTERM drain gracefully.");
   cli.add_string("host", "127.0.0.1", "listen address");
   cli.add_int("port", 7420, "TCP port (0 = ephemeral, see --port-file)");
@@ -99,12 +98,6 @@ int main(int argc, char** argv) {
               "min(R, backends) backends)");
   cli.add_int("channels", 2, "pipelined connections per backend");
   cli.add_int("queue", 256, "per-backend outbound queue capacity");
-  cli.add_int("coalesce-jobs", 8,
-              "most ALIGNs folded into one ALIGN_BATCH frame (1 disables "
-              "coalescing)");
-  cli.add_int("coalesce-cells-k", 1024,
-              "only ALIGNs at most this many thousand DPM cells are "
-              "coalesced");
   cli.add_int("max-attempts", 3, "total sends per request (try + failovers)");
   cli.add_int("health-interval-ms", 200, "STATS health-check period");
   cli.add_int("upload-route-ttl-ms", 600000,
@@ -138,12 +131,6 @@ int main(int argc, char** argv) {
         std::max<std::int64_t>(1, cli.get_int("channels")));
     config.queue_capacity = static_cast<std::size_t>(
         std::max<std::int64_t>(1, cli.get_int("queue")));
-    config.coalesce_max_jobs = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, cli.get_int("coalesce-jobs")));
-    config.coalesce_max_cells =
-        static_cast<std::uint64_t>(
-            std::max<std::int64_t>(1, cli.get_int("coalesce-cells-k"))) *
-        1000u;
     config.max_attempts = static_cast<unsigned>(
         std::max<std::int64_t>(1, cli.get_int("max-attempts")));
     config.health_interval_ms = static_cast<std::uint32_t>(
@@ -186,7 +173,7 @@ int main(int argc, char** argv) {
                 << router.port() << " (backends=" << config.backends.size()
                 << ", replication=" << config.replication
                 << ", channels/backend=" << config.channels_per_backend
-                << ", coalesce<=" << config.coalesce_max_jobs << " jobs)\n"
+                << ")\n"
                 << std::flush;
     }
 
