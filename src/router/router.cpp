@@ -15,7 +15,6 @@
 namespace flsa {
 namespace router {
 
-using service::AlignBatchRequest;
 using service::AlignPartResponse;
 using service::AlignRefRequest;
 using service::AlignRequest;
@@ -365,15 +364,6 @@ void Router::handle_request(const std::shared_ptr<ClientConn>& conn,
             return false;
           },
           [&](const AlignRequest&) { return admit(*op); },
-          [&](AlignBatchRequest& batch) {
-            // A client-built batch is routed as one unit; jobs the client
-            // left unnumbered answer under the batch's router id.
-            if (!admit(*op)) return false;
-            for (AlignRequest& job : batch.jobs) {
-              if (job.request_id == 0) job.request_id = op->id;
-            }
-            return true;
-          },
           [&](const SearchRequest& search) {
             return admit(*op) && place_on_refs(*op, search.ref_id, 0);
           },

@@ -43,10 +43,11 @@
 //                may already be streaming in ALIGN_PART frames — non-last
 //                parts are forwarded to the client as they arrive, the
 //                last one completes the op)
-//   ALIGN_BATCH  a client-built batch, routed least-loaded as one unit
 //   STATS        answered locally from the router's own registry
 //   REF_LIST     answered BAD_REQUEST locally: a backend would list its
 //                own local ids, which name nothing at router scope
+//   other codes  fail to decode and are answered BAD_REQUEST by the
+//                connection layer
 //
 // Deadlines: the router re-computes the remaining budget (original
 // deadline minus time since arrival) at every (re)send and answers

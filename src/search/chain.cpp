@@ -230,7 +230,8 @@ FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
   const std::size_t stride = ns / 4 + 1;  // bytes per row of ns + 1 cells
   std::vector<std::uint8_t> trace((nq + 1) * stride);
   const auto dir_at = [&](std::size_t i, std::size_t j) {
-    return (trace[i * stride + j / 4] >> (j % 4 * 2)) & 3u;
+    return (static_cast<unsigned>(trace[i * stride + j / 4]) >> (j % 4 * 2)) &
+           3u;
   };
   std::vector<Score> prev(ns + 1), cur(ns + 1);
   for (std::size_t j = 1; j <= ns; ++j) {

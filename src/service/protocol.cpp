@@ -4,7 +4,10 @@
 
 #include <bit>
 #include <cerrno>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "support/checked.hpp"
 #include "support/fnv.hpp"
@@ -13,43 +16,211 @@ namespace flsa {
 namespace service {
 namespace {
 
+// ---- Wire layouts -----------------------------------------------------
+// The single statement of every message's layout: its verb (a nested
+// element has none) and its fields in wire order. The writer, the reader
+// and the minimum encoded size that bounds a vector's count are all
+// derived from these lists.
+
+template <auto... Members>
+struct Fields {};
+
+template <Verb V, auto... Members>
+struct Message : Fields<Members...> {
+  static constexpr Verb verb = V;
+};
+
+template <typename T>
+struct Layout;
+
+using StatsEntry = std::pair<std::string, double>;
+
+template <>
+struct Layout<AlignRequest>
+    : Message<Verb::kAlign, &AlignRequest::request_id, &AlignRequest::matrix,
+              &AlignRequest::gap_open, &AlignRequest::gap_extend,
+              &AlignRequest::k, &AlignRequest::base_case_cells,
+              &AlignRequest::deadline_ms, &AlignRequest::score_only,
+              &AlignRequest::a, &AlignRequest::b> {};
+template <>
+struct Layout<StatsRequest>
+    : Message<Verb::kStats, &StatsRequest::request_id> {};
+template <>
+struct Layout<RefPutRequest>
+    : Message<Verb::kRefPut, &RefPutRequest::request_id,
+              &RefPutRequest::matrix, &RefPutRequest::k,
+              &RefPutRequest::content_token, &RefPutRequest::name,
+              &RefPutRequest::sequence> {};
+template <>
+struct Layout<SearchRequest>
+    : Message<Verb::kSearch, &SearchRequest::request_id,
+              &SearchRequest::ref_id, &SearchRequest::matrix,
+              &SearchRequest::gap_extend, &SearchRequest::max_hits,
+              &SearchRequest::x_drop, &SearchRequest::gap_weight,
+              &SearchRequest::min_chain_score, &SearchRequest::band_pad,
+              &SearchRequest::max_overlap,
+              &SearchRequest::max_positions_per_kmer,
+              &SearchRequest::deadline_ms, &SearchRequest::score_only,
+              &SearchRequest::query> {};
+template <>
+struct Layout<SeqBeginRequest>
+    : Message<Verb::kSeqBegin, &SeqBeginRequest::request_id,
+              &SeqBeginRequest::upload_token, &SeqBeginRequest::placement,
+              &SeqBeginRequest::matrix, &SeqBeginRequest::total_residues,
+              &SeqBeginRequest::name> {};
+template <>
+struct Layout<SeqChunkRequest>
+    : Message<Verb::kSeqChunk, &SeqChunkRequest::request_id,
+              &SeqChunkRequest::upload_token, &SeqChunkRequest::offset,
+              &SeqChunkRequest::prefix_hash, &SeqChunkRequest::data> {};
+template <>
+struct Layout<SeqEndRequest>
+    : Message<Verb::kSeqEnd, &SeqEndRequest::request_id,
+              &SeqEndRequest::upload_token, &SeqEndRequest::total_residues,
+              &SeqEndRequest::total_hash, &SeqEndRequest::k,
+              &SeqEndRequest::build_index> {};
+template <>
+struct Layout<AlignRefRequest>
+    : Message<Verb::kAlignRef, &AlignRefRequest::request_id,
+              &AlignRefRequest::ref_a, &AlignRefRequest::ref_b,
+              &AlignRefRequest::matrix, &AlignRefRequest::gap_open,
+              &AlignRefRequest::gap_extend, &AlignRefRequest::k,
+              &AlignRefRequest::base_case_cells, &AlignRefRequest::band,
+              &AlignRefRequest::deadline_ms, &AlignRefRequest::score_only,
+              &AlignRefRequest::b> {};
+template <>
+struct Layout<RefListRequest>
+    : Message<Verb::kRefList, &RefListRequest::request_id> {};
+
+template <>
+struct Layout<AlignResponse>
+    : Message<Verb::kAlignOk, &AlignResponse::request_id,
+              &AlignResponse::score, &AlignResponse::cigar,
+              &AlignResponse::cells, &AlignResponse::queue_micros,
+              &AlignResponse::exec_micros,
+              &AlignResponse::deadline_remaining_ms> {};
+template <>
+struct Layout<ErrorResponse>
+    : Message<Verb::kError, &ErrorResponse::request_id, &ErrorResponse::code,
+              &ErrorResponse::message> {};
+template <>
+struct Layout<StatsEntry> : Fields<&StatsEntry::first, &StatsEntry::second> {};
+template <>
+struct Layout<StatsResponse>
+    : Message<Verb::kStatsOk, &StatsResponse::request_id,
+              &StatsResponse::entries> {};
+template <>
+struct Layout<RefPutResponse>
+    : Message<Verb::kRefPutOk, &RefPutResponse::request_id,
+              &RefPutResponse::ref_id, &RefPutResponse::residues,
+              &RefPutResponse::distinct_kmers,
+              &RefPutResponse::build_micros> {};
+template <>
+struct Layout<WireHit>
+    : Fields<&WireHit::score, &WireHit::q_begin, &WireHit::q_end,
+             &WireHit::s_begin, &WireHit::s_end, &WireHit::cigar> {};
+template <>
+struct Layout<SearchResponse>
+    : Message<Verb::kSearchOk, &SearchResponse::request_id,
+              &SearchResponse::hits, &SearchResponse::anchors,
+              &SearchResponse::chains, &SearchResponse::queue_micros,
+              &SearchResponse::exec_micros,
+              &SearchResponse::deadline_remaining_ms> {};
+template <>
+struct Layout<SeqOkResponse>
+    : Message<Verb::kSeqOk, &SeqOkResponse::request_id,
+              &SeqOkResponse::upload_token, &SeqOkResponse::next_offset,
+              &SeqOkResponse::ref_id, &SeqOkResponse::residues> {};
+template <>
+struct Layout<AlignPartResponse>
+    : Message<Verb::kAlignPart, &AlignPartResponse::request_id,
+              &AlignPartResponse::seq, &AlignPartResponse::last,
+              &AlignPartResponse::score, &AlignPartResponse::cells,
+              &AlignPartResponse::queue_micros,
+              &AlignPartResponse::exec_micros,
+              &AlignPartResponse::deadline_remaining_ms,
+              &AlignPartResponse::cigar_part> {};
+template <>
+struct Layout<RefListEntry>
+    : Fields<&RefListEntry::ref_id, &RefListEntry::content_token,
+             &RefListEntry::residues, &RefListEntry::matrix,
+             &RefListEntry::k, &RefListEntry::indexed,
+             &RefListEntry::name> {};
+template <>
+struct Layout<RefListResponse>
+    : Message<Verb::kRefListOk, &RefListResponse::request_id,
+              &RefListResponse::refs> {};
+
+// ---- Codec over the field types ---------------------------------------
+
+template <typename T>
+concept Vector = std::same_as<T, std::vector<typename T::value_type>>;
+
+/// The type of the field `Member` points to in a T.
+template <typename T, auto Member>
+using FieldType = std::remove_cvref_t<decltype(std::declval<T&>().*Member)>;
+
+/// Smallest encoding of a T: empty strings and vectors, fixed fields at
+/// their width.
+template <typename T>
+constexpr std::size_t min_size() {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, std::string> || Vector<T>) {
+    return 4;
+  } else {
+    return []<auto... Members>(Fields<Members...>) {
+      return (min_size<FieldType<T, Members>>() + ... + 0);
+    }(Layout<T>{});
+  }
+}
+
 /// Append-only little-endian payload builder.
 class Writer {
  public:
   explicit Writer(Verb verb) {
-    out_.push_back(static_cast<char>(kProtocolVersion));
-    out_.push_back(static_cast<char>(verb));
+    put(kProtocolVersion);
+    put(verb);
   }
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  template <typename T>
+  void put(const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      put(static_cast<std::uint8_t>(value ? 1 : 0));
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(value));
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<std::uint64_t>(value));
+    } else if constexpr (std::is_integral_v<T>) {
+      const std::uint64_t bits = static_cast<std::make_unsigned_t<T>>(value);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_.push_back(static_cast<char>(bits >> (8 * i)));
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put(count(value.size()));
+      out_.append(value);
+    } else if constexpr (Vector<T>) {
+      put(count(value.size()));
+      for (const auto& element : value) put(element);
+    } else {
+      [&]<auto... Members>(Fields<Members...>) {
+        (put(value.*Members), ...);
+      }(Layout<T>{});
     }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  void str(std::string_view s) {
-    if (s.size() > kMaxFrameBytes) {
-      throw ProtocolError("string field exceeds the frame limit");
-    }
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
   }
 
   std::string take() { return std::move(out_); }
 
  private:
+  static std::uint32_t count(std::size_t n) {
+    if (n > kMaxFrameBytes) {
+      throw ProtocolError("field exceeds the frame limit");
+    }
+    return static_cast<std::uint32_t>(n);
+  }
+
   std::string out_;
 };
 
@@ -58,43 +229,51 @@ class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= std::uint32_t(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
+  template <typename T>
+  void get(T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      value = take<std::uint8_t>() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      value = static_cast<T>(take<std::underlying_type_t<T>>());
+      if (std::string_view(to_string(value)) == "?") {
+        throw ProtocolError("unknown enum value " +
+                            std::to_string(static_cast<unsigned>(value)));
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = std::bit_cast<double>(take<std::uint64_t>());
+    } else if constexpr (std::is_integral_v<T>) {
+      value = static_cast<T>(take<std::make_unsigned_t<T>>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::uint32_t n = take<std::uint32_t>();
+      need(n);
+      value.assign(data_.substr(pos_, n));
+      pos_ += n;
+    } else if constexpr (Vector<T>) {
+      // Refused before the resize, so a hostile count cannot drive the
+      // allocation.
+      const std::uint32_t n = take<std::uint32_t>();
+      if (n > remaining() / min_size<typename T::value_type>()) {
+        throw ProtocolError("element count exceeds the payload size");
+      }
+      value.resize(n);
+      for (auto& element : value) get(element);
+    } else {
+      [&]<auto... Members>(Fields<Members...>) {
+        (get(value.*Members), ...);
+      }(Layout<T>{});
     }
-    pos_ += 4;
-    return v;
   }
 
-  std::uint64_t u64() {
-    need(8);
+  template <std::unsigned_integral U>
+  U take() {
+    need(sizeof(U));
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= std::uint64_t(static_cast<unsigned char>(data_[pos_ + i]))
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(data_[pos_ + i])}
            << (8 * i);
     }
-    pos_ += 8;
-    return v;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
+    pos_ += sizeof(U);
+    return static_cast<U>(v);
   }
 
   void finish() const {
@@ -103,114 +282,39 @@ class Reader {
     }
   }
 
+ private:
   std::size_t remaining() const { return data_.size() - pos_; }
 
- private:
   void need(std::size_t n) const {
-    if (data_.size() - pos_ < n) throw ProtocolError("truncated payload");
+    if (remaining() < n) throw ProtocolError("truncated payload");
   }
 
   std::string_view data_;
   std::size_t pos_ = 0;
 };
 
-Verb read_header(Reader& r) {
-  const std::uint8_t version = r.u8();
+/// Decodes a payload into the alternative of `Variant` its verb names.
+template <typename Variant>
+Variant decode(std::string_view payload, const char* side) {
+  Reader r(payload);
+  const auto version = r.take<std::uint8_t>();
   if (version != kProtocolVersion) {
     throw ProtocolError("unsupported protocol version " +
                         std::to_string(version));
   }
-  return static_cast<Verb>(r.u8());
-}
-
-WireMatrix read_matrix(Reader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(WireMatrix::kDnaN)) {
-    throw ProtocolError("unknown matrix selector " + std::to_string(raw));
+  const auto verb = static_cast<Verb>(r.take<std::uint8_t>());
+  Variant out;
+  const bool known = [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return ((Layout<std::variant_alternative_t<I, Variant>>::verb == verb &&
+             (r.get(out.template emplace<I>()), true)) ||
+            ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+  if (!known) {
+    throw ProtocolError(std::string("unexpected ") + side + " verb " +
+                        to_string(verb));
   }
-  return static_cast<WireMatrix>(raw);
-}
-
-ErrorCode read_error_code(Reader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw < static_cast<std::uint8_t>(ErrorCode::kBadRequest) ||
-      raw > static_cast<std::uint8_t>(ErrorCode::kRefNotFound)) {
-    throw ProtocolError("unknown error code " + std::to_string(raw));
-  }
-  return static_cast<ErrorCode>(raw);
-}
-
-// ---- Shared body codecs ----------------------------------------------
-// The ALIGN job / answer / error bodies appear both as whole payloads and
-// as batch elements, so they are encoded and decoded by one helper each.
-
-void write_align_body(Writer& w, const AlignRequest& request) {
-  w.u64(request.request_id);
-  w.u8(static_cast<std::uint8_t>(request.matrix));
-  w.i32(request.gap_open);
-  w.i32(request.gap_extend);
-  w.u32(request.k);
-  w.u64(request.base_case_cells);
-  w.u32(request.deadline_ms);
-  w.u8(request.score_only ? 1 : 0);
-  w.str(request.a);
-  w.str(request.b);
-}
-
-AlignRequest read_align_body(Reader& r) {
-  AlignRequest req;
-  req.request_id = r.u64();
-  req.matrix = read_matrix(r);
-  req.gap_open = r.i32();
-  req.gap_extend = r.i32();
-  req.k = r.u32();
-  req.base_case_cells = r.u64();
-  req.deadline_ms = r.u32();
-  req.score_only = r.u8() != 0;
-  req.a = r.str();
-  req.b = r.str();
-  return req;
-}
-
-/// Smallest possible encoded AlignRequest body (empty sequences) — the
-/// sanity bound a batch decoder applies to its count field so a hostile
-/// count cannot drive a huge up-front reservation.
-constexpr std::size_t kMinAlignBodyBytes = 8 + 1 + 4 + 4 + 4 + 8 + 4 + 1 + 4 + 4;
-
-void write_align_ok_body(Writer& w, const AlignResponse& response) {
-  w.u64(response.request_id);
-  w.i64(response.score);
-  w.str(response.cigar);
-  w.u64(response.cells);
-  w.u64(response.queue_micros);
-  w.u64(response.exec_micros);
-  w.i64(response.deadline_remaining_ms);
-}
-
-AlignResponse read_align_ok_body(Reader& r) {
-  AlignResponse res;
-  res.request_id = r.u64();
-  res.score = r.i64();
-  res.cigar = r.str();
-  res.cells = r.u64();
-  res.queue_micros = r.u64();
-  res.exec_micros = r.u64();
-  res.deadline_remaining_ms = r.i64();
-  return res;
-}
-
-void write_error_body(Writer& w, const ErrorResponse& response) {
-  w.u64(response.request_id);
-  w.u8(static_cast<std::uint8_t>(response.code));
-  w.str(response.message);
-}
-
-ErrorResponse read_error_body(Reader& r) {
-  ErrorResponse res;
-  res.request_id = r.u64();
-  res.code = read_error_code(r);
-  res.message = r.str();
-  return res;
+  r.finish();
+  return out;
 }
 
 }  // namespace
@@ -221,7 +325,6 @@ const char* to_string(Verb verb) {
     case Verb::kStats: return "STATS";
     case Verb::kRefPut: return "REF_PUT";
     case Verb::kSearch: return "SEARCH";
-    case Verb::kAlignBatch: return "ALIGN_BATCH";
     case Verb::kSeqBegin: return "SEQ_BEGIN";
     case Verb::kSeqChunk: return "SEQ_CHUNK";
     case Verb::kSeqEnd: return "SEQ_END";
@@ -232,7 +335,6 @@ const char* to_string(Verb verb) {
     case Verb::kStatsOk: return "STATS_OK";
     case Verb::kRefPutOk: return "REF_PUT_OK";
     case Verb::kSearchOk: return "SEARCH_OK";
-    case Verb::kAlignBatchOk: return "ALIGN_BATCH_OK";
     case Verb::kSeqOk: return "SEQ_OK";
     case Verb::kAlignPart: return "ALIGN_PART";
     case Verb::kRefListOk: return "REF_LIST_OK";
@@ -293,219 +395,30 @@ bool parse_wire_matrix(std::string_view name, WireMatrix* out) {
   return false;
 }
 
-std::string encode(const AlignRequest& request) {
-  Writer w(Verb::kAlign);
-  write_align_body(w, request);
+template <WireMessage T>
+std::string encode(const T& message) {
+  Writer w(Layout<T>::verb);
+  w.put(message);
   return w.take();
 }
 
-std::string encode(const AlignBatchRequest& request) {
-  Writer w(Verb::kAlignBatch);
-  w.u64(request.request_id);
-  w.u32(static_cast<std::uint32_t>(request.jobs.size()));
-  for (const AlignRequest& job : request.jobs) write_align_body(w, job);
-  return w.take();
-}
-
-std::string encode(const StatsRequest& request) {
-  Writer w(Verb::kStats);
-  w.u64(request.request_id);
-  return w.take();
-}
-
-std::string encode(const RefPutRequest& request) {
-  Writer w(Verb::kRefPut);
-  w.u64(request.request_id);
-  w.u8(static_cast<std::uint8_t>(request.matrix));
-  w.u32(request.k);
-  w.u64(request.content_token);
-  w.str(request.name);
-  w.str(request.sequence);
-  return w.take();
-}
-
-std::string encode(const SeqBeginRequest& request) {
-  Writer w(Verb::kSeqBegin);
-  w.u64(request.request_id);
-  w.u64(request.upload_token);
-  w.u64(request.placement);
-  w.u8(static_cast<std::uint8_t>(request.matrix));
-  w.u64(request.total_residues);
-  w.str(request.name);
-  return w.take();
-}
-
-std::string encode(const SeqChunkRequest& request) {
-  Writer w(Verb::kSeqChunk);
-  w.u64(request.request_id);
-  w.u64(request.upload_token);
-  w.u64(request.offset);
-  w.u64(request.prefix_hash);
-  w.str(request.data);
-  return w.take();
-}
-
-std::string encode(const SeqEndRequest& request) {
-  Writer w(Verb::kSeqEnd);
-  w.u64(request.request_id);
-  w.u64(request.upload_token);
-  w.u64(request.total_residues);
-  w.u64(request.total_hash);
-  w.u32(request.k);
-  w.u8(request.build_index ? 1 : 0);
-  return w.take();
-}
-
-std::string encode(const AlignRefRequest& request) {
-  Writer w(Verb::kAlignRef);
-  w.u64(request.request_id);
-  w.u64(request.ref_a);
-  w.u64(request.ref_b);
-  w.u8(static_cast<std::uint8_t>(request.matrix));
-  w.i32(request.gap_open);
-  w.i32(request.gap_extend);
-  w.u32(request.k);
-  w.u64(request.base_case_cells);
-  w.u32(request.band);
-  w.u32(request.deadline_ms);
-  w.u8(request.score_only ? 1 : 0);
-  w.str(request.b);
-  return w.take();
-}
-
-std::string encode(const RefListRequest& request) {
-  Writer w(Verb::kRefList);
-  w.u64(request.request_id);
-  return w.take();
-}
-
-std::string encode(const SearchRequest& request) {
-  Writer w(Verb::kSearch);
-  w.u64(request.request_id);
-  w.u64(request.ref_id);
-  w.u8(static_cast<std::uint8_t>(request.matrix));
-  w.i32(request.gap_extend);
-  w.u32(request.max_hits);
-  w.i32(request.x_drop);
-  w.i32(request.gap_weight);
-  w.i32(request.min_chain_score);
-  w.u32(request.band_pad);
-  w.u32(request.max_overlap);
-  w.u32(request.max_positions_per_kmer);
-  w.u32(request.deadline_ms);
-  w.u8(request.score_only ? 1 : 0);
-  w.str(request.query);
-  return w.take();
-}
-
-std::string encode(const AlignResponse& response) {
-  Writer w(Verb::kAlignOk);
-  write_align_ok_body(w, response);
-  return w.take();
-}
-
-std::string encode(const ErrorResponse& response) {
-  Writer w(Verb::kError);
-  write_error_body(w, response);
-  return w.take();
-}
-
-std::string encode(const AlignBatchResponse& response) {
-  Writer w(Verb::kAlignBatchOk);
-  w.u64(response.request_id);
-  w.u32(static_cast<std::uint32_t>(response.items.size()));
-  for (const BatchItem& item : response.items) {
-    if (const auto* ok = std::get_if<AlignResponse>(&item)) {
-      w.u8(0);
-      write_align_ok_body(w, *ok);
-    } else {
-      w.u8(1);
-      write_error_body(w, std::get<ErrorResponse>(item));
-    }
-  }
-  return w.take();
-}
-
-std::string encode(const StatsResponse& response) {
-  Writer w(Verb::kStatsOk);
-  w.u64(response.request_id);
-  w.u32(static_cast<std::uint32_t>(response.entries.size()));
-  for (const auto& [name, value] : response.entries) {
-    w.str(name);
-    w.f64(value);
-  }
-  return w.take();
-}
-
-std::string encode(const RefPutResponse& response) {
-  Writer w(Verb::kRefPutOk);
-  w.u64(response.request_id);
-  w.u64(response.ref_id);
-  w.u64(response.residues);
-  w.u64(response.distinct_kmers);
-  w.u64(response.build_micros);
-  return w.take();
-}
-
-std::string encode(const SeqOkResponse& response) {
-  Writer w(Verb::kSeqOk);
-  w.u64(response.request_id);
-  w.u64(response.upload_token);
-  w.u64(response.next_offset);
-  w.u64(response.ref_id);
-  w.u64(response.residues);
-  return w.take();
-}
-
-std::string encode(const AlignPartResponse& response) {
-  Writer w(Verb::kAlignPart);
-  w.u64(response.request_id);
-  w.u32(response.seq);
-  w.u8(response.last ? 1 : 0);
-  w.i64(response.score);
-  w.u64(response.cells);
-  w.u64(response.queue_micros);
-  w.u64(response.exec_micros);
-  w.i64(response.deadline_remaining_ms);
-  w.str(response.cigar_part);
-  return w.take();
-}
-
-std::string encode(const RefListResponse& response) {
-  Writer w(Verb::kRefListOk);
-  w.u64(response.request_id);
-  w.u32(static_cast<std::uint32_t>(response.refs.size()));
-  for (const RefListEntry& entry : response.refs) {
-    w.u64(entry.ref_id);
-    w.u64(entry.content_token);
-    w.u64(entry.residues);
-    w.u8(static_cast<std::uint8_t>(entry.matrix));
-    w.u32(entry.k);
-    w.u8(entry.indexed ? 1 : 0);
-    w.str(entry.name);
-  }
-  return w.take();
-}
-
-std::string encode(const SearchResponse& response) {
-  Writer w(Verb::kSearchOk);
-  w.u64(response.request_id);
-  w.u32(static_cast<std::uint32_t>(response.hits.size()));
-  for (const WireHit& hit : response.hits) {
-    w.i64(hit.score);
-    w.u64(hit.q_begin);
-    w.u64(hit.q_end);
-    w.u64(hit.s_begin);
-    w.u64(hit.s_end);
-    w.str(hit.cigar);
-  }
-  w.u64(response.anchors);
-  w.u64(response.chains);
-  w.u64(response.queue_micros);
-  w.u64(response.exec_micros);
-  w.i64(response.deadline_remaining_ms);
-  return w.take();
-}
+template std::string encode(const AlignRequest&);
+template std::string encode(const StatsRequest&);
+template std::string encode(const RefPutRequest&);
+template std::string encode(const SearchRequest&);
+template std::string encode(const SeqBeginRequest&);
+template std::string encode(const SeqChunkRequest&);
+template std::string encode(const SeqEndRequest&);
+template std::string encode(const AlignRefRequest&);
+template std::string encode(const RefListRequest&);
+template std::string encode(const AlignResponse&);
+template std::string encode(const ErrorResponse&);
+template std::string encode(const StatsResponse&);
+template std::string encode(const RefPutResponse&);
+template std::string encode(const SearchResponse&);
+template std::string encode(const SeqOkResponse&);
+template std::string encode(const AlignPartResponse&);
+template std::string encode(const RefListResponse&);
 
 std::string encode(const Request& request) {
   return std::visit([](const auto& r) { return encode(r); }, request);
@@ -554,259 +467,11 @@ void set_deadline_ms(Request& request, std::uint32_t budget_ms) {
 }
 
 Request decode_request(std::string_view payload) {
-  Reader r(payload);
-  const Verb verb = read_header(r);
-  switch (verb) {
-    case Verb::kAlign: {
-      AlignRequest req = read_align_body(r);
-      r.finish();
-      return req;
-    }
-    case Verb::kAlignBatch: {
-      AlignBatchRequest req;
-      req.request_id = r.u64();
-      const std::uint32_t count = r.u32();
-      if (count > r.remaining() / kMinAlignBodyBytes) {
-        throw ProtocolError("batch job count exceeds the payload size");
-      }
-      req.jobs.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        req.jobs.push_back(read_align_body(r));
-      }
-      r.finish();
-      return req;
-    }
-    case Verb::kStats: {
-      StatsRequest req;
-      req.request_id = r.u64();
-      r.finish();
-      return req;
-    }
-    case Verb::kRefPut: {
-      RefPutRequest req;
-      req.request_id = r.u64();
-      req.matrix = read_matrix(r);
-      req.k = r.u32();
-      req.content_token = r.u64();
-      req.name = r.str();
-      req.sequence = r.str();
-      r.finish();
-      return req;
-    }
-    case Verb::kSeqBegin: {
-      SeqBeginRequest req;
-      req.request_id = r.u64();
-      req.upload_token = r.u64();
-      req.placement = r.u64();
-      req.matrix = read_matrix(r);
-      req.total_residues = r.u64();
-      req.name = r.str();
-      r.finish();
-      return req;
-    }
-    case Verb::kSeqChunk: {
-      SeqChunkRequest req;
-      req.request_id = r.u64();
-      req.upload_token = r.u64();
-      req.offset = r.u64();
-      req.prefix_hash = r.u64();
-      req.data = r.str();
-      r.finish();
-      return req;
-    }
-    case Verb::kSeqEnd: {
-      SeqEndRequest req;
-      req.request_id = r.u64();
-      req.upload_token = r.u64();
-      req.total_residues = r.u64();
-      req.total_hash = r.u64();
-      req.k = r.u32();
-      req.build_index = r.u8() != 0;
-      r.finish();
-      return req;
-    }
-    case Verb::kAlignRef: {
-      AlignRefRequest req;
-      req.request_id = r.u64();
-      req.ref_a = r.u64();
-      req.ref_b = r.u64();
-      req.matrix = read_matrix(r);
-      req.gap_open = r.i32();
-      req.gap_extend = r.i32();
-      req.k = r.u32();
-      req.base_case_cells = r.u64();
-      req.band = r.u32();
-      req.deadline_ms = r.u32();
-      req.score_only = r.u8() != 0;
-      req.b = r.str();
-      r.finish();
-      return req;
-    }
-    case Verb::kRefList: {
-      RefListRequest req;
-      req.request_id = r.u64();
-      r.finish();
-      return req;
-    }
-    case Verb::kSearch: {
-      SearchRequest req;
-      req.request_id = r.u64();
-      req.ref_id = r.u64();
-      req.matrix = read_matrix(r);
-      req.gap_extend = r.i32();
-      req.max_hits = r.u32();
-      req.x_drop = r.i32();
-      req.gap_weight = r.i32();
-      req.min_chain_score = r.i32();
-      req.band_pad = r.u32();
-      req.max_overlap = r.u32();
-      req.max_positions_per_kmer = r.u32();
-      req.deadline_ms = r.u32();
-      req.score_only = r.u8() != 0;
-      req.query = r.str();
-      r.finish();
-      return req;
-    }
-    default:
-      throw ProtocolError(std::string("unexpected request verb ") +
-                          to_string(verb));
-  }
+  return decode<Request>(payload, "request");
 }
 
 Response decode_response(std::string_view payload) {
-  Reader r(payload);
-  const Verb verb = read_header(r);
-  switch (verb) {
-    case Verb::kAlignOk: {
-      AlignResponse res = read_align_ok_body(r);
-      r.finish();
-      return res;
-    }
-    case Verb::kError: {
-      ErrorResponse res = read_error_body(r);
-      r.finish();
-      return res;
-    }
-    case Verb::kAlignBatchOk: {
-      AlignBatchResponse res;
-      res.request_id = r.u64();
-      const std::uint32_t count = r.u32();
-      // Smallest item: 1 tag byte + an error body with an empty message.
-      if (count > r.remaining() / (1 + 8 + 1 + 4)) {
-        throw ProtocolError("batch item count exceeds the payload size");
-      }
-      res.items.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint8_t tag = r.u8();
-        if (tag == 0) {
-          res.items.emplace_back(read_align_ok_body(r));
-        } else if (tag == 1) {
-          res.items.emplace_back(read_error_body(r));
-        } else {
-          throw ProtocolError("unknown batch item tag " +
-                              std::to_string(tag));
-        }
-      }
-      r.finish();
-      return res;
-    }
-    case Verb::kStatsOk: {
-      StatsResponse res;
-      res.request_id = r.u64();
-      const std::uint32_t count = r.u32();
-      res.entries.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::string name = r.str();
-        const double value = r.f64();
-        res.entries.emplace_back(std::move(name), value);
-      }
-      r.finish();
-      return res;
-    }
-    case Verb::kSeqOk: {
-      SeqOkResponse res;
-      res.request_id = r.u64();
-      res.upload_token = r.u64();
-      res.next_offset = r.u64();
-      res.ref_id = r.u64();
-      res.residues = r.u64();
-      r.finish();
-      return res;
-    }
-    case Verb::kAlignPart: {
-      AlignPartResponse res;
-      res.request_id = r.u64();
-      res.seq = r.u32();
-      res.last = r.u8() != 0;
-      res.score = r.i64();
-      res.cells = r.u64();
-      res.queue_micros = r.u64();
-      res.exec_micros = r.u64();
-      res.deadline_remaining_ms = r.i64();
-      res.cigar_part = r.str();
-      r.finish();
-      return res;
-    }
-    case Verb::kRefPutOk: {
-      RefPutResponse res;
-      res.request_id = r.u64();
-      res.ref_id = r.u64();
-      res.residues = r.u64();
-      res.distinct_kmers = r.u64();
-      res.build_micros = r.u64();
-      r.finish();
-      return res;
-    }
-    case Verb::kRefListOk: {
-      RefListResponse res;
-      res.request_id = r.u64();
-      const std::uint32_t count = r.u32();
-      // Smallest entry: the fixed fields plus an empty-name length.
-      if (count > r.remaining() / (8 + 8 + 8 + 1 + 4 + 1 + 4)) {
-        throw ProtocolError("ref list count exceeds the payload size");
-      }
-      res.refs.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        RefListEntry entry;
-        entry.ref_id = r.u64();
-        entry.content_token = r.u64();
-        entry.residues = r.u64();
-        entry.matrix = read_matrix(r);
-        entry.k = r.u32();
-        entry.indexed = r.u8() != 0;
-        entry.name = r.str();
-        res.refs.push_back(std::move(entry));
-      }
-      r.finish();
-      return res;
-    }
-    case Verb::kSearchOk: {
-      SearchResponse res;
-      res.request_id = r.u64();
-      const std::uint32_t count = r.u32();
-      res.hits.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        WireHit hit;
-        hit.score = r.i64();
-        hit.q_begin = r.u64();
-        hit.q_end = r.u64();
-        hit.s_begin = r.u64();
-        hit.s_end = r.u64();
-        hit.cigar = r.str();
-        res.hits.push_back(std::move(hit));
-      }
-      res.anchors = r.u64();
-      res.chains = r.u64();
-      res.queue_micros = r.u64();
-      res.exec_micros = r.u64();
-      res.deadline_remaining_ms = r.i64();
-      r.finish();
-      return res;
-    }
-    default:
-      throw ProtocolError(std::string("unexpected response verb ") +
-                          to_string(verb));
-  }
+  return decode<Response>(payload, "response");
 }
 
 std::uint64_t estimated_cells(std::uint64_t m, std::uint64_t n) {
@@ -827,14 +492,6 @@ std::uint64_t estimated_cells(const AlignRequest& request) {
 
 std::uint64_t estimated_cells(const SearchRequest& request) {
   return estimated_cells(request.query.size(), request.query.size());
-}
-
-std::uint64_t estimated_cells(const AlignBatchRequest& request) {
-  std::uint64_t total = 0;
-  for (const AlignRequest& job : request.jobs) {
-    total = add_sat_u64(total, estimated_cells(job));
-  }
-  return total;
 }
 
 std::uint64_t content_token_for(const RefPutRequest& request) {

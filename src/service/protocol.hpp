@@ -3,11 +3,14 @@
 // Transport framing is length-prefixed: a frame is a 4-byte little-endian
 // payload length followed by the payload. Every payload starts with a
 // 1-byte protocol version and a 1-byte verb; the remainder is the verb's
-// body. All integers are little-endian and fixed-width, strings are a
-// u32 byte count followed by raw bytes, doubles are the IEEE-754 bit
-// pattern as a u64. The format is versioned so a v2 server can keep
-// answering v1 clients; decoders reject unknown versions with a typed
-// error instead of guessing.
+// body. Each message's verb and its field list in wire order are stated
+// once, in protocol.cpp; the encoder and the decoder are both derived
+// from that list. All integers are little-endian and fixed-width, bools
+// and enums are one byte, strings are a u32 byte count followed by raw
+// bytes, vectors a u32 element count followed by the elements, doubles
+// the IEEE-754 bit pattern as a u64. The format is versioned so a v2
+// server can keep answering v1 clients; decoders reject unknown versions
+// with a typed error instead of guessing.
 //
 // Verbs (requests from the client, responses from the server):
 //   ALIGN   -> ALIGN_OK | ERROR    one pairwise alignment job
@@ -15,10 +18,6 @@
 //   REF_PUT -> REF_PUT_OK | ERROR  register a reference; returns its id
 //   SEARCH  -> SEARCH_OK | ERROR   chained search of a query against a
 //                                  registered reference (by id)
-//   ALIGN_BATCH -> ALIGN_BATCH_OK | ERROR
-//                                  several ALIGN jobs in one frame; one
-//                                  worker executes them back to back on
-//                                  its persistent Aligner
 //   SEQ_BEGIN   -> SEQ_OK | ERROR  open (or resume) a chunked sequence
 //                                  upload session, keyed by a client
 //                                  token; SEQ_OK reports the next byte
@@ -41,15 +40,22 @@
 //                                  carries score + timings) so a
 //                                  megabase edit script never needs one
 //                                  huge frame
+//   REF_LIST    -> REF_LIST_OK | ERROR
+//                                  the registered reference handles
+//
+// Codes 0x05 and 0x86 are unassigned (a retired batch verb used them) and
+// decode as unknown verbs.
 //
 // Responses carry the request_id of the request they answer, so clients
 // may pipeline: with a shared worker pool, responses on one connection can
 // complete out of submission order (an OVERLOADED rejection overtakes a
 // job still running).
 //
-// Decoding is strict: every read is bounds-checked and trailing garbage is
-// an error (ProtocolError). The server maps ProtocolError to a BAD_REQUEST
-// response; it never crashes on hostile bytes.
+// Decoding is strict: every read is bounds-checked, a vector count larger
+// than the rest of the payload could hold is refused before anything is
+// allocated, an enum byte outside the enum is refused, and trailing
+// garbage is an error (ProtocolError). The server maps ProtocolError to a
+// BAD_REQUEST response; it never crashes on hostile bytes.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +63,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -77,7 +84,6 @@ enum class Verb : std::uint8_t {
   kStats = 0x02,
   kRefPut = 0x03,
   kSearch = 0x04,
-  kAlignBatch = 0x05,
   kSeqBegin = 0x06,
   kSeqChunk = 0x07,
   kSeqEnd = 0x08,
@@ -88,7 +94,6 @@ enum class Verb : std::uint8_t {
   kStatsOk = 0x83,
   kRefPutOk = 0x84,
   kSearchOk = 0x85,
-  kAlignBatchOk = 0x86,
   kSeqOk = 0x87,
   kAlignPart = 0x88,
   kRefListOk = 0x89,
@@ -153,16 +158,6 @@ struct AlignRequest {
   /// Residue letters of the two sequences (alphabet follows the matrix).
   std::string a;
   std::string b;
-};
-
-/// Several independent ALIGN jobs folded into one frame. One worker pops
-/// the whole batch and runs the jobs back to back on its persistent
-/// Aligner, so the workspace-reuse amortization the daemon gets from a
-/// warm worker also applies *across* small requests. Each job keeps its
-/// own request_id; the response echoes them job by job.
-struct AlignBatchRequest {
-  std::uint64_t request_id = 0;  ///< id of the batch frame as a whole
-  std::vector<AlignRequest> jobs;
 };
 
 /// Registry snapshot request.
@@ -396,28 +391,28 @@ struct RefListResponse {
   std::vector<RefListEntry> refs;
 };
 
-/// One per-job outcome inside an ALIGN_BATCH_OK frame: the job either
-/// succeeded (AlignResponse) or failed with a typed error — a bad job
-/// never poisons its batch mates.
-using BatchItem = std::variant<AlignResponse, ErrorResponse>;
-
-/// Batch answer: items in job order, each echoing its job's request_id.
-struct AlignBatchResponse {
-  std::uint64_t request_id = 0;
-  std::vector<BatchItem> items;
-};
-
 using Request =
     std::variant<AlignRequest, StatsRequest, RefPutRequest, SearchRequest,
-                 AlignBatchRequest, SeqBeginRequest, SeqChunkRequest,
-                 SeqEndRequest, AlignRefRequest, RefListRequest>;
+                 SeqBeginRequest, SeqChunkRequest, SeqEndRequest,
+                 AlignRefRequest, RefListRequest>;
 using Response =
     std::variant<AlignResponse, ErrorResponse, StatsResponse, RefPutResponse,
-                 SearchResponse, AlignBatchResponse, SeqOkResponse,
-                 AlignPartResponse, RefListResponse>;
+                 SearchResponse, SeqOkResponse, AlignPartResponse,
+                 RefListResponse>;
+
+template <typename T, typename Variant>
+inline constexpr bool kAlternativeOf = false;
+template <typename T, typename... Alternatives>
+inline constexpr bool kAlternativeOf<T, std::variant<Alternatives...>> =
+    (std::is_same_v<T, Alternatives> || ...);
+
+/// A message a payload can carry: an alternative of Request or Response.
+template <typename T>
+concept WireMessage =
+    kAlternativeOf<T, Request> || kAlternativeOf<T, Response>;
 
 /// Thrown by decoders on malformed payloads (truncation, trailing bytes,
-/// unknown version/verb, length overflow).
+/// unknown version/verb/enum value, length or count overflow).
 class ProtocolError : public std::runtime_error {
  public:
   explicit ProtocolError(const std::string& what)
@@ -447,26 +442,11 @@ class ReadTimeout : public TransportError {
   explicit ReadTimeout(const std::string& what) : TransportError(what) {}
 };
 
-/// Payload encoders (version byte + verb + body; no length prefix).
-std::string encode(const AlignRequest& request);
-std::string encode(const StatsRequest& request);
-std::string encode(const RefPutRequest& request);
-std::string encode(const SearchRequest& request);
-std::string encode(const AlignBatchRequest& request);
-std::string encode(const SeqBeginRequest& request);
-std::string encode(const SeqChunkRequest& request);
-std::string encode(const SeqEndRequest& request);
-std::string encode(const AlignRefRequest& request);
-std::string encode(const RefListRequest& request);
-std::string encode(const AlignResponse& response);
-std::string encode(const ErrorResponse& response);
-std::string encode(const StatsResponse& response);
-std::string encode(const RefPutResponse& response);
-std::string encode(const SearchResponse& response);
-std::string encode(const AlignBatchResponse& response);
-std::string encode(const SeqOkResponse& response);
-std::string encode(const AlignPartResponse& response);
-std::string encode(const RefListResponse& response);
+/// Payload encoder (version byte + verb + body; no length prefix). Takes
+/// the message itself, so a hot path never copies it into a variant;
+/// protocol.cpp instantiates it for every WireMessage.
+template <WireMessage T>
+std::string encode(const T& message);
 
 /// Encodes whichever verb the variant holds.
 std::string encode(const Request& request);
@@ -519,11 +499,6 @@ std::uint64_t estimated_cells(const AlignRequest& request);
 /// search normally does far less work, so this is a conservative bound
 /// in the same currency as the ALIGN budget.
 std::uint64_t estimated_cells(const SearchRequest& request);
-
-/// Batch admission estimate: the sum over the jobs — a batch occupies one
-/// worker for the total of its jobs' work, so it is budgeted like one
-/// request of that size.
-std::uint64_t estimated_cells(const AlignBatchRequest& request);
 
 /// Canonical idempotency token for a REF_PUT: FNV-1a over the fields
 /// that determine what gets registered (matrix, k, sequence letters —

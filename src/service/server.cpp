@@ -147,8 +147,6 @@ AlignmentServer::AlignmentServer(ServiceConfig config)
           obs::metrics().counter("search.ref_not_found"),
           obs::metrics().counter("search.ref_puts"),
           obs::metrics().counter("search.ref_residues"),
-          obs::metrics().counter("service.batch.requests"),
-          obs::metrics().counter("service.batch.jobs"),
           obs::metrics().counter("stream.uploads"),
           obs::metrics().counter("stream.upload_chunks"),
           obs::metrics().counter("stream.upload_bytes"),
@@ -373,22 +371,6 @@ void AlignmentServer::handle_request(
                                 encode(run_align(aligner, job.enqueued, r)));
                       });
             },
-            [&](AlignBatchRequest& batch) {
-              // One queue entry, but every job counts in the request
-              // counter, as it would sent singly.
-              instruments_.requests.add(batch.jobs.size());
-              instruments_.batch_requests.add();
-              instruments_.batch_jobs.add(batch.jobs.size());
-              if (batch.jobs.empty()) {
-                throw Refusal(ErrorCode::kBadRequest, "batch contains no jobs");
-              }
-              const Charge charge = cells_charge(estimated_cells(batch));
-              enqueue(connection, id, deadline, charge,
-                      [this, r = std::move(batch)](Aligner& aligner,
-                                                   const Job& job) {
-                        execute_align_batch(aligner, job, r);
-                      });
-            },
             [&](SearchRequest& search) {
               instruments_.requests.add();
               instruments_.search_requests.add();
@@ -592,10 +574,6 @@ AlignResponse AlignmentServer::run_align(
     Aligner& aligner, std::chrono::steady_clock::time_point enqueued,
     const AlignRequest& request) {
   const auto started = std::chrono::steady_clock::now();
-  // Per-job deadline pre-check against the shared enqueue timestamp: in a
-  // batch the earlier jobs consume wall clock before this one starts, so
-  // each job re-validates its own budget before burning cells.
-  remaining_ms(enqueued, request.deadline_ms, started, /*executed=*/false);
   if (request.gap_open > 0 || request.gap_extend > 0) {
     throw std::invalid_argument("gap penalties must be <= 0");
   }
@@ -615,8 +593,7 @@ AlignResponse AlignmentServer::run_align(
   }
   validate(options.fastlsa);
   // The worker's persistent workspace: this is the whole point of the
-  // daemon shape — buffers stay warm across requests (and across every
-  // job of a batch).
+  // daemon shape — buffers stay warm across requests.
   options.fastlsa.workspace = &aligner.workspace();
 
   const Alignment alignment = flsa::align(a, b, scheme, options);
@@ -645,25 +622,6 @@ AlignResponse AlignmentServer::run_align(
   instruments_.exec_seconds.observe(
       static_cast<double>(response.exec_micros) * 1e-6);
   return response;
-}
-
-void AlignmentServer::execute_align_batch(Aligner& aligner, const Job& job,
-                                          const AlignBatchRequest& request) {
-  AlignBatchResponse response;
-  response.request_id = request.request_id;
-  response.items.reserve(request.jobs.size());
-  // Sequential on this worker's Aligner by design: the batch exists so
-  // the persistent workspace is reused job-to-job with no queue hops or
-  // frame parsing in between. Per-job outcomes are independent — one bad
-  // job yields one error item, never poisons its neighbours.
-  for (const AlignRequest& item : request.jobs) {
-    try {
-      response.items.push_back(run_align(aligner, job.enqueued, item));
-    } catch (...) {
-      response.items.push_back(failure(item.request_id));
-    }
-  }
-  respond(job.connection, encode(response));
 }
 
 std::string AlignmentServer::write_store_file(const Alphabet& alphabet,

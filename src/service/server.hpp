@@ -268,13 +268,10 @@ class AlignmentServer {
 
   // Executors. Each answers on success (run_align returns its answer)
   // and throws on failure.
-  /// One ALIGN (deadline pre-check, align, deadline re-check); shared by
-  /// ALIGN and every job of an ALIGN_BATCH.
+  /// One ALIGN (align, then the deadline re-check).
   AlignResponse run_align(Aligner& aligner,
                           std::chrono::steady_clock::time_point enqueued,
                           const AlignRequest& request);
-  void execute_align_batch(Aligner& aligner, const Job& job,
-                           const AlignBatchRequest& request);
   void execute_ref_put(const Job& job, const RefPutRequest& request);
   void execute_search(const Job& job, const SearchRequest& request);
   /// `b` is null when the second sequence is inline in the request.
@@ -347,8 +344,6 @@ class AlignmentServer {
     obs::Counter& search_ref_not_found;
     obs::Counter& ref_puts;
     obs::Counter& ref_residues;
-    obs::Counter& batch_requests;
-    obs::Counter& batch_jobs;
     obs::Counter& uploads_started;
     obs::Counter& upload_chunks;
     obs::Counter& upload_bytes;

@@ -7,8 +7,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <variant>
 
 #include "scoring/scheme.hpp"
@@ -177,9 +182,15 @@ TEST(Protocol, RejectsUnknownVersion) {
 }
 
 TEST(Protocol, RejectsUnknownVerb) {
-  std::string payload = encode(sample_align_request());
-  payload[1] = '\x7f';
-  EXPECT_THROW(decode_request(payload), ProtocolError);
+  // 0x05 and 0x86 belonged to the retired ALIGN_BATCH verb pair.
+  for (const char verb : {'\x7f', '\x05', '\x86'}) {
+    std::string request = encode(sample_align_request());
+    request[1] = verb;
+    EXPECT_THROW(decode_request(request), ProtocolError);
+    std::string response = encode(AlignResponse{});
+    response[1] = verb;
+    EXPECT_THROW(decode_response(response), ProtocolError);
+  }
 }
 
 TEST(Protocol, RejectsResponseVerbInRequestAndViceVersa) {
@@ -343,111 +354,20 @@ TEST(Protocol, SearchMessagesRejectTruncationAtEveryPrefix) {
   }
 }
 
-TEST(Protocol, AlignBatchRequestRoundTrip) {
-  AlignBatchRequest batch;
-  batch.request_id = 0xB00Fu;
-  batch.jobs.push_back(sample_align_request());
-  AlignRequest second;
-  second.request_id = 99;
-  second.a = "AC";
-  second.b = "AG";
-  second.matrix = WireMatrix::kDna;
-  batch.jobs.push_back(second);
-
-  const Request decoded = decode_request(encode(batch));
-  const auto* out = std::get_if<AlignBatchRequest>(&decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->request_id, batch.request_id);
-  ASSERT_EQ(out->jobs.size(), 2u);
-  EXPECT_EQ(out->jobs[0].request_id, batch.jobs[0].request_id);
-  EXPECT_EQ(out->jobs[0].a, batch.jobs[0].a);
-  EXPECT_EQ(out->jobs[0].deadline_ms, batch.jobs[0].deadline_ms);
-  EXPECT_EQ(out->jobs[1].request_id, 99u);
-  EXPECT_EQ(out->jobs[1].matrix, WireMatrix::kDna);
-}
-
-TEST(Protocol, AlignBatchResponseRoundTripMixesOkAndError) {
-  AlignBatchResponse batch;
-  batch.request_id = 0xBEEFu;
-  AlignResponse ok;
-  ok.request_id = 1;
-  ok.score = 82;
-  ok.cigar = "8=";
-  ok.cells = 81;
-  batch.items.emplace_back(ok);
-  ErrorResponse error;
-  error.request_id = 2;
-  error.code = ErrorCode::kDeadlineExceeded;
-  error.message = "late";
-  batch.items.emplace_back(error);
-
-  const Response decoded = decode_response(encode(batch));
-  const auto* out = std::get_if<AlignBatchResponse>(&decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->request_id, batch.request_id);
-  ASSERT_EQ(out->items.size(), 2u);
-  const auto* item_ok = std::get_if<AlignResponse>(&out->items[0]);
-  ASSERT_NE(item_ok, nullptr);
-  EXPECT_EQ(item_ok->request_id, 1u);
-  EXPECT_EQ(item_ok->score, 82);
-  EXPECT_EQ(item_ok->cigar, "8=");
-  const auto* item_err = std::get_if<ErrorResponse>(&out->items[1]);
-  ASSERT_NE(item_err, nullptr);
-  EXPECT_EQ(item_err->request_id, 2u);
-  EXPECT_EQ(item_err->code, ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(item_err->message, "late");
-}
-
-TEST(Protocol, AlignBatchMessagesRejectTruncationAtEveryPrefix) {
-  AlignBatchRequest request;
-  request.jobs.push_back(sample_align_request());
-  const std::string req_payload = encode(request);
-  for (std::size_t cut = 0; cut < req_payload.size(); ++cut) {
-    EXPECT_THROW(decode_request(req_payload.substr(0, cut)), ProtocolError);
-  }
-  AlignBatchResponse response;
-  response.items.emplace_back(AlignResponse{});
-  response.items.emplace_back(ErrorResponse{});
-  const std::string resp_payload = encode(response);
-  for (std::size_t cut = 0; cut < resp_payload.size(); ++cut) {
-    EXPECT_THROW(decode_response(resp_payload.substr(0, cut)),
-                 ProtocolError);
-  }
-}
-
-TEST(Protocol, AlignBatchRejectsHostileJobCount) {
-  // A count field claiming more jobs than the payload could possibly
-  // hold must be rejected up front (guarding the decoder's reserve), not
-  // by running off the end job by job.
-  AlignBatchRequest request;
-  request.jobs.push_back(sample_align_request());
-  std::string payload = encode(request);
-  // Layout: version, verb, u64 envelope id, u32 count.
+TEST(Protocol, HostileCountIsAProtocolError) {
+  // A count field claiming more elements than the payload could possibly
+  // hold must be refused up front (guarding the decoder's allocation),
+  // not turn into a huge reservation or run off the end element by
+  // element. Layout of each: version, verb, u64 request_id, u32 count.
   const std::size_t count_offset = 2 + 8;
-  for (std::size_t i = 0; i < 4; ++i) {
-    payload[count_offset + i] = '\xff';
+  for (std::string payload :
+       {encode(StatsResponse{}), encode(SearchResponse{}),
+        encode(RefListResponse{})}) {
+    payload.resize(count_offset);
+    payload.append(4, '\xff');  // 0xFFFFFFFF elements, none present
+    EXPECT_THROW(decode_response(payload), ProtocolError)
+        << to_string(static_cast<Verb>(payload[1]));
   }
-  EXPECT_THROW(decode_request(payload), ProtocolError);
-}
-
-TEST(Protocol, AlignBatchResponseRejectsUnknownItemTag) {
-  AlignBatchResponse response;
-  response.items.emplace_back(AlignResponse{});
-  std::string payload = encode(response);
-  // Layout: version, verb, u64 envelope id, u32 count, then the first
-  // item's tag byte.
-  payload[2 + 8 + 4] = '\x07';
-  EXPECT_THROW(decode_response(payload), ProtocolError);
-}
-
-TEST(Protocol, EstimatedCellsForBatchSumsItsJobs) {
-  AlignBatchRequest batch;
-  AlignRequest a;
-  a.a = std::string(9, 'A');
-  a.b = std::string(4, 'C');
-  batch.jobs.push_back(a);
-  batch.jobs.push_back(AlignRequest{});
-  EXPECT_EQ(estimated_cells(batch), 51u);  // 50 + 1
 }
 
 TEST(Protocol, EstimatedCellsForSearchIsQuerySquared) {
@@ -487,8 +407,6 @@ TEST(Protocol, VerbAndCodeNamesAreStable) {
   EXPECT_STREQ(to_string(Verb::kStats), "STATS");
   EXPECT_STREQ(to_string(Verb::kRefPut), "REF_PUT");
   EXPECT_STREQ(to_string(Verb::kSearch), "SEARCH");
-  EXPECT_STREQ(to_string(Verb::kAlignBatch), "ALIGN_BATCH");
-  EXPECT_STREQ(to_string(Verb::kAlignBatchOk), "ALIGN_BATCH_OK");
   EXPECT_STREQ(to_string(ErrorCode::kRefNotFound), "REF_NOT_FOUND");
   EXPECT_STREQ(to_string(ErrorCode::kOverloaded), "OVERLOADED");
   EXPECT_STREQ(to_string(ErrorCode::kTooLarge), "TOO_LARGE");
@@ -803,6 +721,290 @@ TEST(Protocol, CorruptedVersionByteIsAProtocolErrorNotAScore) {
   std::string payload = encode(response);
   payload[0] = static_cast<char>(payload[0] ^ 0xA5);
   EXPECT_THROW(decode_response(payload), ProtocolError);
+}
+
+// ---- Golden wire bytes ------------------------------------------------
+// One fixed instance of every Request and Response alternative with the
+// payload bytes it encodes to, pinned so a change to the codec cannot
+// move a byte of any verb unnoticed.
+
+template <typename T>
+struct Golden {
+  T message;
+  std::string_view hex;
+};
+
+Golden<AlignRequest> golden(std::type_identity<AlignRequest>) {
+  return {sample_align_request(),
+          "0101887766554433221102f5ffffffffffffff040000000000010000000000fa"
+          "000000010a000000484541474157474845450700000050415748454145"};
+}
+
+Golden<StatsRequest> golden(std::type_identity<StatsRequest>) {
+  StatsRequest request;
+  request.request_id = 7;
+  return {request, "01020700000000000000"};
+}
+
+Golden<RefPutRequest> golden(std::type_identity<RefPutRequest>) {
+  RefPutRequest request;
+  request.request_id = 0xdeadbeefULL;
+  request.matrix = WireMatrix::kDnaN;
+  request.k = 11;
+  request.content_token = 0x00c0ffee00c0ffeeULL;
+  request.name = "chr7";
+  request.sequence = "ACGTNACGT";
+  return {request,
+          "0103efbeadde00000000040b000000eeffc000eeffc000040000006368723709"
+          "000000414347544e41434754"};
+}
+
+Golden<SearchRequest> golden(std::type_identity<SearchRequest>) {
+  SearchRequest request;
+  request.request_id = 77;
+  request.ref_id = 0x0102030405060708ULL;
+  request.matrix = WireMatrix::kBlosum62;
+  request.gap_extend = -7;
+  request.max_hits = 3;
+  request.x_drop = 25;
+  request.gap_weight = -2;
+  request.min_chain_score = 40;
+  request.band_pad = 9;
+  request.max_overlap = 4;
+  request.max_positions_per_kmer = 128;
+  request.deadline_ms = 1500;
+  request.score_only = true;
+  request.query = "HEAGAWGHEE";
+  return {request,
+          "01044d00000000000000080706050403020102f9ffffff0300000019000000fe"
+          "ffffff28000000090000000400000080000000dc050000010a00000048454147"
+          "415747484545"};
+}
+
+Golden<SeqBeginRequest> golden(std::type_identity<SeqBeginRequest>) {
+  SeqBeginRequest request;
+  request.request_id = 0xa1b2c3d4e5f60718ULL;
+  request.upload_token = 0x0f0e0d0c0b0a0908ULL;
+  request.placement = 42;
+  request.matrix = WireMatrix::kDna;
+  request.total_residues = 3'200'000'000ULL;
+  request.name = "chr1";
+  return {request,
+          "01061807f6e5d4c3b2a108090a0b0c0d0e0f2a00000000000000030020bcbe00"
+          "0000000400000063687231"};
+}
+
+Golden<SeqChunkRequest> golden(std::type_identity<SeqChunkRequest>) {
+  SeqChunkRequest request;
+  request.request_id = 9;
+  request.upload_token = 0xfeedULL;
+  request.offset = (std::uint64_t{1} << 40) + 17;
+  request.prefix_hash = 0x123456789abcdef0ULL;
+  request.data = "ACGTAC";
+  return {request,
+          "01070900000000000000edfe0000000000001100000000010000f0debc9a7856"
+          "341206000000414347544143"};
+}
+
+Golden<SeqEndRequest> golden(std::type_identity<SeqEndRequest>) {
+  SeqEndRequest request;
+  request.request_id = 10;
+  request.upload_token = 0xfeedULL;
+  request.total_residues = 2'200'000ULL;
+  request.total_hash = 0x0dedbeefcafef00dULL;
+  request.k = 13;
+  request.build_index = true;
+  return {request,
+          "01080a00000000000000edfe000000000000c0912100000000000df0fecaefbe"
+          "ed0d0d00000001"};
+}
+
+Golden<AlignRefRequest> golden(std::type_identity<AlignRefRequest>) {
+  AlignRefRequest request;
+  request.request_id = 11;
+  request.ref_a = 3;
+  request.ref_b = 0;
+  request.matrix = WireMatrix::kPam250;
+  request.gap_open = -10;
+  request.gap_extend = -2;
+  request.k = 6;
+  request.base_case_cells = 1 << 18;
+  request.band = 512;
+  request.deadline_ms = 30000;
+  request.score_only = false;
+  request.b = "AW";
+  return {request,
+          "01090b000000000000000300000000000000000000000000000001f6fffffffe"
+          "ffffff060000000000040000000000000200003075000000020000004157"};
+}
+
+Golden<RefListRequest> golden(std::type_identity<RefListRequest>) {
+  RefListRequest request;
+  request.request_id = 15;
+  return {request, "010a0f00000000000000"};
+}
+
+Golden<AlignResponse> golden(std::type_identity<AlignResponse>) {
+  AlignResponse response;
+  response.request_id = 42;
+  response.score = -12345;
+  response.cigar = "3M1I2M1D4M";
+  response.cells = 99;
+  response.queue_micros = 1234;
+  response.exec_micros = 56789;
+  response.deadline_remaining_ms = 17;
+  return {response,
+          "01812a00000000000000c7cfffffffffffff0a000000334d3149324d3144344d"
+          "6300000000000000d204000000000000d5dd0000000000001100000000000000"};
+}
+
+Golden<ErrorResponse> golden(std::type_identity<ErrorResponse>) {
+  ErrorResponse response;
+  response.request_id = 9;
+  response.code = ErrorCode::kRefNotFound;
+  response.message = "no such ref";
+  return {response, "01820900000000000000080b0000006e6f207375636820726566"};
+}
+
+Golden<StatsResponse> golden(std::type_identity<StatsResponse>) {
+  StatsResponse response;
+  response.request_id = 3;
+  response.entries = {{"service.requests", 10.0}, {"negative", -1.5}};
+  return {response,
+          "018303000000000000000200000010000000736572766963652e726571756573"
+          "74730000000000002440080000006e65676174697665000000000000f8bf"};
+}
+
+Golden<RefPutResponse> golden(std::type_identity<RefPutResponse>) {
+  RefPutResponse response;
+  response.request_id = 5;
+  response.ref_id = 12;
+  response.residues = 6200;
+  response.distinct_kmers = 6189;
+  response.build_micros = 1042;
+  return {response,
+          "018405000000000000000c0000000000000038180000000000002d1800000000"
+          "00001204000000000000"};
+}
+
+Golden<SearchResponse> golden(std::type_identity<SearchResponse>) {
+  SearchResponse response;
+  response.request_id = 6;
+  response.hits.push_back({928, 0, 200, 3000, 3200, "7=1X192="});
+  response.hits.push_back({-4, 1, 2, 9000, 9001, ""});
+  response.anchors = 7;
+  response.chains = 2;
+  response.queue_micros = 11;
+  response.exec_micros = 222;
+  response.deadline_remaining_ms = -1;
+  return {response,
+          "0185060000000000000002000000a0030000000000000000000000000000c800"
+          "000000000000b80b000000000000800c00000000000008000000373d31583139"
+          "323dfcffffffffffffff01000000000000000200000000000000282300000000"
+          "0000292300000000000000000000070000000000000002000000000000000b00"
+          "000000000000de00000000000000ffffffffffffffff"};
+}
+
+Golden<SeqOkResponse> golden(std::type_identity<SeqOkResponse>) {
+  SeqOkResponse response;
+  response.request_id = 12;
+  response.upload_token = 0xfeedULL;
+  response.next_offset = 1'048'576;
+  response.ref_id = 7;
+  response.residues = 1'048'576;
+  return {response,
+          "01870c00000000000000edfe0000000000000000100000000000070000000000"
+          "00000000100000000000"};
+}
+
+Golden<AlignPartResponse> golden(std::type_identity<AlignPartResponse>) {
+  AlignPartResponse response;
+  response.request_id = 13;
+  response.seq = 3;
+  response.last = true;
+  response.score = -12345;
+  response.cells = std::numeric_limits<std::uint64_t>::max();
+  response.queue_micros = 17;
+  response.exec_micros = 90210;
+  response.deadline_remaining_ms = 250;
+  response.cigar_part = "100M2D40M";
+  return {response,
+          "01880d000000000000000300000001c7cfffffffffffffffffffffffffffff11"
+          "000000000000006260010000000000fa00000000000000090000003130304d32"
+          "4434304d"};
+}
+
+Golden<RefListResponse> golden(std::type_identity<RefListResponse>) {
+  RefListResponse response;
+  response.request_id = 16;
+  response.refs.push_back({1, 0x00c0ffee00c0ffeeULL, 2'000'000,
+                           WireMatrix::kDna, 12, true, "chr7"});
+  response.refs.push_back({2, 0, 5, WireMatrix::kMdm78, 0, false, ""});
+  return {response,
+          "01891000000000000000020000000100000000000000eeffc000eeffc0008084"
+          "1e0000000000030c000000010400000063687237020000000000000000000000"
+          "00000000050000000000000000000000000000000000"};
+}
+
+/// Calls `visit(std::type_identity<T>{})` for every alternative T.
+template <typename Variant, typename Visit>
+void for_each_alternative(Visit visit) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (visit(std::type_identity<std::variant_alternative_t<I, Variant>>{}),
+     ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+}
+
+template <typename Variant>
+constexpr bool every_alternative_has_a_golden_entry() {
+  return []<std::size_t... I>(std::index_sequence<I...>) {
+    return (requires {
+      golden(std::type_identity<std::variant_alternative_t<I, Variant>>{});
+    } && ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+}
+static_assert(every_alternative_has_a_golden_entry<Request>());
+static_assert(every_alternative_has_a_golden_entry<Response>());
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+template <typename Variant, typename Decode>
+void expect_golden_bytes(Decode decode) {
+  for_each_alternative<Variant>([&]<typename T>(std::type_identity<T> tag) {
+    const Golden<T> entry = golden(tag);
+    const std::string payload = encode(entry.message);
+    ASSERT_GE(payload.size(), 2u);
+    const char* verb = to_string(static_cast<Verb>(payload[1]));
+    EXPECT_EQ(to_hex(payload), entry.hex) << verb;
+
+    // The pinned bytes decode to the same verb and re-encode unchanged.
+    const Variant decoded = decode(payload);
+    ASSERT_TRUE(std::holds_alternative<T>(decoded)) << verb;
+    EXPECT_EQ(encode(std::get<T>(decoded)), payload) << verb;
+
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      EXPECT_THROW(decode(payload.substr(0, cut)), ProtocolError)
+          << verb << ": prefix of " << cut << " bytes decoded";
+    }
+    EXPECT_THROW(decode(payload + '\0'), ProtocolError)
+        << verb << ": a trailing byte decoded";
+  });
+}
+
+TEST(Protocol, GoldenWireBytesOfEveryVerb) {
+  expect_golden_bytes<Request>(
+      [](std::string_view payload) { return decode_request(payload); });
+  expect_golden_bytes<Response>(
+      [](std::string_view payload) { return decode_response(payload); });
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Router-tier integration tests: shard-map placement, deadline-budget
 // arithmetic, and the front tier end-to-end over loopback against real
-// AlignmentServer backends — routing, replication, coalescing with
-// per-request demux, failover, ejection, and local deadline enforcement.
+// AlignmentServer backends — routing, replication, pipelined single
+// frames demuxed by request id, failover, ejection, and local deadline
+// enforcement.
 // The contract mirrors the backend's: every request ends in a response
 // bit-identical to direct align() or a typed error, never a hang.
 #include <gtest/gtest.h>
@@ -197,7 +198,7 @@ TEST(Router, AlignThroughTheRouterIsBitIdenticalToDirect) {
   }
 }
 
-TEST(Router, PipelinedAlignsCoalesceAndDemuxById) {
+TEST(Router, PipelinedAlignsDemuxById) {
   RouterConfig config;
   config.channels_per_backend = 1;
   Fleet fleet(1, config);
@@ -206,9 +207,8 @@ TEST(Router, PipelinedAlignsCoalesceAndDemuxById) {
   const Score score_a = direct_align("TLDKLLKD", "TDVLKAD").score;
   const Score score_b = direct_align("HEAGAWGHEE", "PAWHEAE").score;
 
-  // Pipeline 64 small aligns of two different pairs; responses may come
-  // back in any order (coalesced batches demux to per-job answers), so
-  // match scores by request id.
+  // Pipeline 64 small aligns of two different pairs, each its own frame;
+  // responses may come back in any order, so match scores by request id.
   std::map<std::uint64_t, Score> expected;
   for (int i = 0; i < 64; ++i) {
     const bool odd = (i % 2) != 0;
@@ -227,31 +227,6 @@ TEST(Router, PipelinedAlignsCoalesceAndDemuxById) {
     expected.erase(it);
   }
   EXPECT_TRUE(expected.empty()) << expected.size() << " requests unanswered";
-}
-
-TEST(Router, ClientBuiltBatchPassesThroughAsAUnit) {
-  Fleet fleet(2);
-  Client client = fleet.connect();
-  service::AlignBatchRequest batch;
-  AlignRequest first = protein_request("TLDKLLKD", "TDVLKAD");
-  first.request_id = 41;
-  batch.jobs.push_back(first);
-  AlignRequest second = protein_request("HEAGAWGHEE", "PAWHEAE");
-  second.request_id = 42;
-  batch.jobs.push_back(second);
-
-  const Response response = client.call(std::move(batch));
-  const auto* out = std::get_if<service::AlignBatchResponse>(&response);
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(out->items.size(), 2u);
-  const auto* a = std::get_if<AlignResponse>(&out->items[0]);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->request_id, 41u);  // the client's job ids survive the hop
-  EXPECT_EQ(a->score, direct_align("TLDKLLKD", "TDVLKAD").score);
-  const auto* b = std::get_if<AlignResponse>(&out->items[1]);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->request_id, 42u);
-  EXPECT_EQ(b->score, direct_align("HEAGAWGHEE", "PAWHEAE").score);
 }
 
 TEST(Router, RefPutReplicatesAndSearchMatchesASingleBackend) {

@@ -172,11 +172,10 @@ TEST(RouterChaos, EveryRequestTerminatesCorrectOrTypedAcrossAFaultyFleet) {
       << " transport=" << tally.transport;
 }
 
-TEST(RouterChaos, RejectedCoalescedBatchAnswersEveryMemberTyped) {
-  // Regression: a backend can refuse a router-coalesced ALIGN_BATCH at
-  // admission with one top-level ERROR naming the throwaway envelope id.
-  // The router must map that envelope back to its member ops and answer
-  // (or re-fire) each of them — not orphan them until a channel timeout
+TEST(RouterChaos, RejectedPipelinedAlignsAnswerEveryRequestTyped) {
+  // A backend that refuses every frame at admission answers each with a
+  // typed ERROR. The router must map every refusal back to its op and
+  // answer (or re-fire) it — not orphan it until a channel timeout
   // rescues the wreck. With an always-rejecting backend every pipelined
   // request must come back as a typed OVERLOADED, promptly.
   RouterConfig config;
@@ -204,9 +203,9 @@ TEST(RouterChaos, RejectedCoalescedBatchAnswersEveryMemberTyped) {
   }
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
-  // Rejections are instant; anything near a timeout means members were
-  // orphaned and rescued by a channel death instead of the envelope map.
-  EXPECT_LT(elapsed.count(), 5000) << "members were orphaned, not answered";
+  // Rejections are instant; anything near a timeout means requests were
+  // orphaned and rescued by a channel death instead of being answered.
+  EXPECT_LT(elapsed.count(), 5000) << "requests were orphaned, not answered";
 }
 
 TEST(RouterChaos, MidFlightBackendDeathFailsOverWithoutALostRequest) {

@@ -1518,62 +1518,6 @@ TEST(Service, StreamingStatsCountersAdvance) {
   server.stop();
 }
 
-// ---- ALIGN_BATCH ------------------------------------------------------
-
-TEST(Service, AlignBatchExecutesEveryJobAndDemuxesById) {
-  AlignmentServer server;
-  server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
-
-  AlignBatchRequest batch;
-  AlignRequest good = protein_request("TLDKLLKD", "TDVLKAD");
-  good.request_id = 11;
-  batch.jobs.push_back(good);
-  AlignRequest bad = protein_request("TLDK1LKD", "TDVLKAD");  // bad residue
-  bad.request_id = 22;
-  batch.jobs.push_back(bad);
-  AlignRequest second_good = protein_request("HEAGAWGHEE", "PAWHEAE");
-  second_good.request_id = 33;
-  batch.jobs.push_back(second_good);
-
-  const Response response = client.call(std::move(batch));
-  const auto* out = std::get_if<AlignBatchResponse>(&response);
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(out->items.size(), 3u);
-
-  const auto* first = std::get_if<AlignResponse>(&out->items[0]);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->request_id, 11u);
-  EXPECT_EQ(first->score, 82);
-  EXPECT_EQ(first->cigar, direct_align("TLDKLLKD", "TDVLKAD").cigar());
-
-  // One bad job must not poison its batch mates — it answers a per-job
-  // typed error in its slot.
-  const auto* middle = std::get_if<ErrorResponse>(&out->items[1]);
-  ASSERT_NE(middle, nullptr);
-  EXPECT_EQ(middle->request_id, 22u);
-  EXPECT_EQ(middle->code, ErrorCode::kBadRequest);
-
-  const auto* last = std::get_if<AlignResponse>(&out->items[2]);
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->request_id, 33u);
-  EXPECT_EQ(last->score, direct_align("HEAGAWGHEE", "PAWHEAE").score);
-  server.stop();
-}
-
-TEST(Service, EmptyAlignBatchAnswersBadRequest) {
-  AlignmentServer server;
-  server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
-  const Response response = client.call(AlignBatchRequest{});
-  const auto* error = std::get_if<ErrorResponse>(&response);
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->code, ErrorCode::kBadRequest);
-  server.stop();
-}
-
 TEST(Service, StatsReportsLoadGaugesAndUptime) {
   AlignmentServer server;
   server.start();
