@@ -86,20 +86,6 @@ void BM_RowKernelPlain(benchmark::State& state) {
 }
 BENCHMARK(BM_RowKernelPlain)->Unit(benchmark::kMillisecond);
 
-void BM_RowKernelQueryProfile(benchmark::State& state) {
-  // The query-profile layout streams one flat score row per residue.
-  const flsa::SequencePair& pair = pair4k();
-  const flsa::ScoringScheme& scheme = flsa::ScoringScheme::paper_default();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flsa::global_score_profiled(
-        pair.a.residues(), pair.b.residues(), scheme));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(pair.a.size() * pair.b.size()));
-}
-BENCHMARK(BM_RowKernelQueryProfile)->Unit(benchmark::kMillisecond);
-
 void BM_Hirschberg(benchmark::State& state) {
   const flsa::SequencePair& pair = pair4k();
   const flsa::ScoringScheme& scheme = flsa::ScoringScheme::paper_default();

@@ -486,17 +486,18 @@ bool gap_fits(Score gap) {
          static_cast<std::int64_t>(kLaneHi);
 }
 
-/// Builds the full-width int16 profile, each row padded with kNarrowPad
-/// low-rail entries on BOTH sides: row x's scores live at
+/// Builds the full-width int16 profile of `b` under `sub`, each row padded
+/// with kNarrowPad low-rail entries on BOTH sides: row x's scores live at
 /// prof[x * stride + kNarrowPad + j] with stride = 2 * kNarrowPad + cols.
 /// The right pad absorbs the row-sweep cores' load overshoot; the left
 /// pad absorbs the band core's skewed transpose loads, which start up to
 /// kW - 1 elements left of a tile's first column (pad values only ever
 /// reach lanes outside their row's valid range). Rejects (returns false)
 /// if any score is not strictly inside the rails.
-template <typename ScoreAt>
-bool build_profile(std::size_t cols, std::size_t alphabet,
-                   const ScoreAt& score_at, std::vector<Lane>& prof) {
+bool build_profile(std::span<const Residue> b, const SubstitutionMatrix& sub,
+                   std::vector<Lane>& prof) {
+  const std::size_t cols = b.size();
+  const std::size_t alphabet = sub.alphabet().size();
   const std::size_t stride = kNarrowPad + cols + kNarrowPad;
   prof.resize(alphabet * stride);
   for (std::size_t x = 0; x < alphabet; ++x) {
@@ -506,7 +507,7 @@ bool build_profile(std::size_t cols, std::size_t alphabet,
               static_cast<Lane>(kLaneLo));
     Lane* dst = row + kNarrowPad;
     for (std::size_t j = 0; j < cols; ++j) {
-      const Score s = score_at(static_cast<Residue>(x), j);
+      const Score s = sub.at(static_cast<Residue>(x), b[j]);
       if (s <= kLaneLo || s >= kLaneHi) return false;
       dst[j] = static_cast<Lane>(s);
     }
@@ -602,121 +603,6 @@ void note_escalations(DpCounters* counters, std::uint64_t n) {
   FLSA_OBS_COUNT("kernel.escalations", n);
 }
 
-/// The shared strip-tiling driver: cuts the rectangle into internal tiles
-/// of kTileExtent, carries exact int32 boundary lines between them, and
-/// escalates per tile (int16 -> int32).
-///
-/// score_at(x, j) is the int32 substitution score of residue x against
-/// global column j. whole_int32 rescinds the entire call to the int32
-/// reference path (used when the scheme itself does not fit int16);
-/// tile_int32(rs, cs, trows, tcols, top, left, out_bottom, out_right)
-/// rescores one tile (out_bottom aliases its top slice; out_right never
-/// aliases).
-template <typename ScoreAt, typename WholeFallback, typename TileFallback>
-void narrow_sweep_impl(std::size_t rows, std::size_t cols, Score gap,
-                       std::size_t alphabet, const ScoreAt& score_at,
-                       const Residue* arow, std::span<const Score> top,
-                       std::span<const Score> left,
-                       std::span<Score> out_bottom,
-                       std::span<Score> out_right, DpCounters* counters,
-                       const WholeFallback& whole_int32,
-                       const TileFallback& tile_int32) {
-  NarrowScratch& ns = nscratch();
-  std::uint64_t escal = 0;
-
-  // Whole-call gate: the scheme must fit int16 at all; otherwise the
-  // entire call escalates to int32 in a single step.
-  if (!gap_fits(gap) || !build_profile(cols, alphabet, score_at, ns.prof)) {
-    note_escalations(counters, 1);
-    whole_int32();
-    return;
-  }
-
-  const std::size_t stride = kNarrowPad + cols + kNarrowPad;
-
-  // row_line starts as the rectangle's top boundary; each strip replaces
-  // the columns it finished with its bottom row, so at any moment the
-  // entries left of the cursor hold the strip's bottom and those right of
-  // it still hold its top. col_line does the same along a strip.
-  ns.row_line.assign(top.begin(), top.end());
-  for (std::size_t rs = 0; rs < rows; rs += kTileExtent) {
-    const std::size_t re = std::min(rows, rs + kTileExtent);
-    const std::size_t trows = re - rs;
-    ns.col_line.resize(trows + 1);
-    for (std::size_t i = 0; i <= trows; ++i) {
-      ns.col_line[i] = left[rs + i];
-    }
-    for (std::size_t cs = 0; cs < cols; cs += kTileExtent) {
-      const std::size_t ce = std::min(cols, cs + kTileExtent);
-      const std::size_t tcols = ce - cs;
-      Score* ttop = ns.row_line.data() + cs;
-      // The previous tile of this strip overwrote row_line[cs] (the shared
-      // corner) with its *bottom* value; this tile's top corner is the
-      // previous tile's top-right value, which col_line[0] still holds.
-      ttop[0] = ns.col_line[0];
-      ns.right_line.resize(trows + 1);
-      if (try_tile(trows, tcols, gap, ns.prof.data() + kNarrowPad + cs,
-                   stride, arow + rs, ttop, ns.col_line.data(), ttop,
-                   ns.right_line.data())) {
-        if (counters) {
-          counters->cells_scored +=
-              static_cast<std::uint64_t>(trows) * tcols;
-        }
-      } else {
-        ++escal;
-        tile_int32(rs, cs, trows, tcols,
-                   std::span<const Score>(ttop, tcols + 1),
-                   std::span<const Score>(ns.col_line.data(), trows + 1),
-                   std::span<Score>(ttop, tcols + 1),
-                   std::span<Score>(ns.right_line.data(), trows + 1));
-      }
-      std::copy(ns.right_line.begin(), ns.right_line.end(),
-                ns.col_line.begin());
-    }
-    if (!out_right.empty()) {
-      for (std::size_t i = 0; i <= trows; ++i) {
-        out_right[rs + i] = ns.col_line[i];
-      }
-    }
-  }
-  std::copy(ns.row_line.begin(), ns.row_line.end(), out_bottom.begin());
-  note_escalations(counters, escal);
-}
-
-/// Scalar int32 sweep of one tile with profile-sourced scores (the int32
-/// fallback of the profiled narrow path, where no subject residues exist
-/// to hand to the matrix-based kernels).
-void profiled_tile_int32(const QueryProfile& profile, std::size_t col0,
-                         Score gap, const Residue* arow, std::size_t rows,
-                         std::size_t cols, std::span<const Score> top,
-                         std::span<const Score> left,
-                         std::span<Score> out_bottom,
-                         std::span<Score> out_right, DpCounters* counters) {
-  if (out_bottom.data() != top.data()) {
-    std::copy(top.begin(), top.end(), out_bottom.begin());
-  }
-  Score* row = out_bottom.data();
-  out_right[0] = row[cols];
-  for (std::size_t r = 1; r <= rows; ++r) {
-    const Score* pr = profile.row(arow[r - 1]) + col0;
-    Score diag = row[0];
-    row[0] = left[r];
-    Score prev = row[0];
-    for (std::size_t c = 1; c <= cols; ++c) {
-      const Score up = row[c];
-      const Score best =
-          std::max(diag + pr[c - 1], std::max(up, prev) + gap);
-      diag = up;
-      prev = best;
-      row[c] = best;
-    }
-    out_right[r] = row[cols];
-  }
-  if (counters) {
-    counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
-  }
-}
-
 }  // namespace
 
 void sweep_rectangle_linear_narrow(std::span<const Residue> a,
@@ -741,69 +627,72 @@ void sweep_rectangle_linear_narrow(std::span<const Residue> a,
     return;
   }
 
-  const SubstitutionMatrix& sub = scheme.matrix();
-  const Residue* bres = b.data();
-  const auto score_at = [&](Residue x, std::size_t j) {
-    return sub.at(x, bres[j]);
-  };
-  const auto whole_int32 = [&] {
+  // Whole-call gate: the scheme must fit int16 at all; otherwise the
+  // entire call escalates to int32 in a single step.
+  const Score gap = scheme.gap_extend();
+  NarrowScratch& ns = nscratch();
+  if (!gap_fits(gap) || !build_profile(b, scheme.matrix(), ns.prof)) {
+    note_escalations(counters, 1);
     sweep_rectangle_linear_simd(a, b, scheme, top, left, out_bottom,
                                 out_right, counters);
-  };
-  const auto tile_int32 = [&](std::size_t rs, std::size_t cs,
-                              std::size_t trows, std::size_t tcols,
-                              std::span<const Score> ttop,
-                              std::span<const Score> tleft,
-                              std::span<Score> tbottom,
-                              std::span<Score> tright) {
-    sweep_rectangle_linear_simd(a.subspan(rs, trows), b.subspan(cs, tcols),
-                                scheme, ttop, tleft, tbottom, tright,
-                                counters);
-  };
-  narrow_sweep_impl(rows, cols, scheme.gap_extend(), sub.alphabet().size(),
-                    score_at, a.data(), top, left, out_bottom, out_right,
-                    counters, whole_int32, tile_int32);
-}
-
-std::vector<Score> last_row_profiled_narrow(std::span<const Residue> a,
-                                            const QueryProfile& profile,
-                                            const ScoringScheme& scheme,
-                                            DpCounters* counters) {
-  FLSA_REQUIRE(scheme.is_linear());
-  const std::size_t rows = a.size();
-  const std::size_t cols = profile.length();
-  if (rows == 0 || cols == 0) {
-    return last_row_profiled(a, profile, scheme, counters);
+    return;
   }
-  std::vector<Score> row(cols + 1);
-  std::vector<Score> left(rows + 1);
-  init_global_boundary_linear(scheme, row);
-  init_global_boundary_linear(scheme, left);
 
-  const Score gap = scheme.gap_extend();
-  const auto score_at = [&](Residue x, std::size_t j) {
-    return profile.row(x)[j];
-  };
-  const auto whole_int32 = [&] {
-    const std::vector<Score> ref =
-        last_row_profiled_simd(a, profile, scheme, counters);
-    std::copy(ref.begin(), ref.end(), row.begin());
-  };
-  const auto tile_int32 = [&](std::size_t rs, std::size_t cs,
-                              std::size_t trows, std::size_t tcols,
-                              std::span<const Score> ttop,
-                              std::span<const Score> tleft,
-                              std::span<Score> tbottom,
-                              std::span<Score> tright) {
-    (void)rs;
-    profiled_tile_int32(profile, cs, gap, a.data() + rs, trows, tcols, ttop,
-                        tleft, tbottom, tright, counters);
-  };
-  narrow_sweep_impl(rows, cols, gap, scheme.alphabet().size(), score_at,
-                    a.data(), std::span<const Score>(row),
-                    std::span<const Score>(left), std::span<Score>(row), {},
-                    counters, whole_int32, tile_int32);
-  return row;
+  // Cut the rectangle into internal tiles of kTileExtent, carry exact int32
+  // boundary lines between them, and escalate per tile (int16 -> int32).
+  const std::size_t stride = kNarrowPad + cols + kNarrowPad;
+  std::uint64_t escal = 0;
+
+  // row_line starts as the rectangle's top boundary; each strip replaces
+  // the columns it finished with its bottom row, so at any moment the
+  // entries left of the cursor hold the strip's bottom and those right of
+  // it still hold its top. col_line does the same along a strip.
+  ns.row_line.assign(top.begin(), top.end());
+  for (std::size_t rs = 0; rs < rows; rs += kTileExtent) {
+    const std::size_t re = std::min(rows, rs + kTileExtent);
+    const std::size_t trows = re - rs;
+    ns.col_line.resize(trows + 1);
+    for (std::size_t i = 0; i <= trows; ++i) {
+      ns.col_line[i] = left[rs + i];
+    }
+    for (std::size_t cs = 0; cs < cols; cs += kTileExtent) {
+      const std::size_t ce = std::min(cols, cs + kTileExtent);
+      const std::size_t tcols = ce - cs;
+      Score* ttop = ns.row_line.data() + cs;
+      // The previous tile of this strip overwrote row_line[cs] (the shared
+      // corner) with its *bottom* value; this tile's top corner is the
+      // previous tile's top-right value, which col_line[0] still holds.
+      ttop[0] = ns.col_line[0];
+      ns.right_line.resize(trows + 1);
+      if (try_tile(trows, tcols, gap, ns.prof.data() + kNarrowPad + cs,
+                   stride, a.data() + rs, ttop, ns.col_line.data(), ttop,
+                   ns.right_line.data())) {
+        if (counters) {
+          counters->cells_scored +=
+              static_cast<std::uint64_t>(trows) * tcols;
+        }
+      } else {
+        // Rescore the tile in int32; its bottom row overwrites its top
+        // slice in place, and its right column never aliases.
+        ++escal;
+        sweep_rectangle_linear_simd(
+            a.subspan(rs, trows), b.subspan(cs, tcols), scheme,
+            std::span<const Score>(ttop, tcols + 1),
+            std::span<const Score>(ns.col_line.data(), trows + 1),
+            std::span<Score>(ttop, tcols + 1),
+            std::span<Score>(ns.right_line.data(), trows + 1), counters);
+      }
+      std::copy(ns.right_line.begin(), ns.right_line.end(),
+                ns.col_line.begin());
+    }
+    if (!out_right.empty()) {
+      for (std::size_t i = 0; i <= trows; ++i) {
+        out_right[rs + i] = ns.col_line[i];
+      }
+    }
+  }
+  std::copy(ns.row_line.begin(), ns.row_line.end(), out_bottom.begin());
+  note_escalations(counters, escal);
 }
 
 }  // namespace flsa

@@ -32,11 +32,9 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dp/counters.hpp"
 #include "dp/kernel.hpp"
-#include "dp/query_profile.hpp"
 #include "scoring/scheme.hpp"
 #include "sequence/sequence.hpp"
 
@@ -54,13 +52,5 @@ void sweep_rectangle_linear_narrow(std::span<const Residue> a,
                                    std::span<Score> out_bottom,
                                    std::span<Score> out_right,
                                    DpCounters* counters = nullptr);
-
-/// Profiled last row through the int16 lanes: substitution scores come
-/// from the QueryProfile's flat rows (converted to int16 per call).
-/// Bit-identical to last_row_profiled.
-std::vector<Score> last_row_profiled_narrow(std::span<const Residue> a,
-                                            const QueryProfile& profile,
-                                            const ScoringScheme& scheme,
-                                            DpCounters* counters = nullptr);
 
 }  // namespace flsa

@@ -123,18 +123,19 @@ Scratch& scratch() {
 }
 
 /// Fills aoff/brev for a sweep: lane r of a diagonal gathers
-/// table[aoff[r - 1] + brev[cols - d + r]]. `bcol` maps column j (0-based)
-/// to its index within a table row.
-template <typename ColIndexFn>
-void prepare_indices(std::span<const Residue> a, std::size_t cols,
-                     std::int32_t stride, ColIndexFn bcol, Scratch& s) {
+/// table[aoff[r - 1] + brev[cols - d + r]], where table is `sub`'s
+/// row-major score array.
+void prepare_indices(std::span<const Residue> a, std::span<const Residue> b,
+                     const SubstitutionMatrix& sub, Scratch& s) {
+  const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
   s.aoff.assign(a.size() + kMaxLanes, 0);
   for (std::size_t r = 0; r < a.size(); ++r) {
     s.aoff[r] = static_cast<std::int32_t>(a[r]) * stride;
   }
+  const std::size_t cols = b.size();
   s.brev.assign(cols + kMaxLanes, 0);
   for (std::size_t j = 0; j < cols; ++j) {
-    s.brev[j] = bcol(cols - 1 - j);
+    s.brev[j] = static_cast<std::int32_t>(b[cols - 1 - j]);
   }
 }
 
@@ -224,13 +225,8 @@ void sweep_rectangle_linear_simd(std::span<const Residue> a,
     FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
 
     const SubstitutionMatrix& sub = scheme.matrix();
-    const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
     Scratch& s = scratch();
-    prepare_indices(a, cols, stride,
-                    [&](std::size_t j) {
-                      return static_cast<std::int32_t>(b[j]);
-                    },
-                    s);
+    prepare_indices(a, b, sub, s);
     run_linear(rows, cols, scheme.gap_extend(), sub.data(), top, left,
                out_bottom, out_right, s);
     if (counters) {
@@ -264,13 +260,8 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
     FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
 
     const SubstitutionMatrix& sub = scheme.matrix();
-    const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
     Scratch& s = scratch();
-    prepare_indices(a, cols, stride,
-                    [&](std::size_t j) {
-                      return static_cast<std::int32_t>(b[j]);
-                    },
-                    s);
+    prepare_indices(a, b, sub, s);
     run_affine(rows, cols, scheme.gap_open(), scheme.gap_extend(), sub.data(),
                top, left, out_bottom, out_right, s);
     if (counters) {
@@ -281,36 +272,6 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
 #endif
   sweep_rectangle_affine(a, b, scheme, top, left, out_bottom, out_right,
                          counters);
-}
-
-std::vector<Score> last_row_profiled_simd(std::span<const Residue> a,
-                                          const QueryProfile& profile,
-                                          const ScoringScheme& scheme,
-                                          DpCounters* counters) {
-  FLSA_REQUIRE(scheme.is_linear());
-#if FLSA_SIMD_X86
-  const std::size_t rows = a.size();
-  const std::size_t cols = profile.length();
-  if (simd_kernel_available() && rows > 0 && cols > 0) {
-    std::vector<Score> row(cols + 1);
-    std::vector<Score> left(rows + 1);
-    init_global_boundary_linear(scheme, row);
-    init_global_boundary_linear(scheme, left);
-    // The gathered table is the profile itself: row x starts at x * length,
-    // and within a row the column index is the position j.
-    Scratch& s = scratch();
-    prepare_indices(a, cols, static_cast<std::int32_t>(cols),
-                    [](std::size_t j) { return static_cast<std::int32_t>(j); },
-                    s);
-    run_linear(rows, cols, scheme.gap_extend(), profile.row(0), row, left,
-               row, {}, s);
-    if (counters) {
-      counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
-    }
-    return row;
-  }
-#endif
-  return last_row_profiled(a, profile, scheme, counters);
 }
 
 }  // namespace flsa

@@ -6,8 +6,7 @@
 // diagonal depends only on the two previous diagonals — so one SIMD lane
 // can own one cell of the diagonal and the whole diagonal advances per
 // instruction group. Substitution scores enter
-// the lanes through a gathered table lookup — either the raw substitution
-// matrix or a QueryProfile's flat rows.
+// the lanes through a gathered lookup into the substitution matrix.
 //
 // Implementations: AVX2 (8 lanes) and SSE4.1 (4 lanes) on x86, selected at
 // *runtime* via CPU feature detection; everywhere else (and on pre-SSE4.1
@@ -21,11 +20,9 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dp/counters.hpp"
 #include "dp/gotoh.hpp"
-#include "dp/query_profile.hpp"
 #include "scoring/scheme.hpp"
 #include "sequence/sequence.hpp"
 
@@ -67,13 +64,5 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
                                  std::span<AffineCell> out_bottom,
                                  std::span<AffineCell> out_right,
                                  DpCounters* counters = nullptr);
-
-/// Profiled last row through the vector lanes: the gathered table is the
-/// QueryProfile's flat [residue][position] rows instead of the |A|x|A|
-/// substitution matrix. Bit-identical to last_row_profiled.
-std::vector<Score> last_row_profiled_simd(std::span<const Residue> a,
-                                          const QueryProfile& profile,
-                                          const ScoringScheme& scheme,
-                                          DpCounters* counters = nullptr);
 
 }  // namespace flsa

@@ -107,42 +107,6 @@ Alignment local_align_full_matrix(const Sequence& a, const Sequence& b,
   return out;
 }
 
-LocalScoreResult local_score_affine(std::span<const Residue> a,
-                                    std::span<const Residue> b,
-                                    const ScoringScheme& scheme,
-                                    DpCounters* counters) {
-  const Score open = scheme.gap_open();
-  const Score ext = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  std::vector<AffineCell> row(b.size() + 1, AffineCell{0, kNegInf, kNegInf});
-  LocalScoreResult best;
-  for (std::size_t r = 1; r <= a.size(); ++r) {
-    AffineCell diag = row[0];
-    row[0] = AffineCell{0, kNegInf, kNegInf};
-    const Residue ar = a[r - 1];
-    for (std::size_t c = 1; c <= b.size(); ++c) {
-      const AffineCell up = row[c];
-      const AffineCell& lf = row[c - 1];
-      AffineCell cell;
-      cell.ix = std::max(up.d + open, up.ix) + ext;
-      cell.iy = std::max(lf.d + open, lf.iy) + ext;
-      cell.d = std::max({Score{0}, diag.d + sub.at(ar, b[c - 1]), cell.ix,
-                         cell.iy});
-      diag = up;
-      row[c] = cell;
-      if (cell.d > best.score) {
-        best.score = cell.d;
-        best.row = r;
-        best.col = c;
-      }
-    }
-  }
-  if (counters) {
-    counters->cells_scored += static_cast<std::uint64_t>(a.size()) * b.size();
-  }
-  return best;
-}
-
 Alignment local_align_full_matrix_affine(const Sequence& a,
                                          const Sequence& b,
                                          const ScoringScheme& scheme,

@@ -36,13 +36,6 @@ Alignment local_align_full_matrix(const Sequence& a, const Sequence& b,
                                   const ScoringScheme& scheme,
                                   DpCounters* counters = nullptr);
 
-/// Affine-gap Smith-Waterman score pass (Gotoh lanes clamped at zero on
-/// the D lane) in linear space.
-LocalScoreResult local_score_affine(std::span<const Residue> a,
-                                    std::span<const Residue> b,
-                                    const ScoringScheme& scheme,
-                                    DpCounters* counters = nullptr);
-
 /// Full-matrix affine-gap Smith-Waterman local alignment.
 Alignment local_align_full_matrix_affine(const Sequence& a,
                                          const Sequence& b,

@@ -1,10 +1,8 @@
 #include "dp/semiglobal.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "dp/fullmatrix.hpp"
-#include "dp/gotoh.hpp"
 #include "dp/kernel.hpp"
 #include "dp/matrix.hpp"
 #include "dp/path.hpp"
@@ -14,45 +12,52 @@ namespace flsa {
 
 namespace {
 
-/// Shared sweep with configurable boundaries; returns the argmax over the
-/// last DPM row.
+/// The DPM's top row and left column for a semi-global mode: a free
+/// boundary is all zeros, a charged one the global gap ramp 0, g, 2g, ...
+struct Boundaries {
+  std::vector<Score> top;
+  std::vector<Score> left;
+};
+
+Boundaries semiglobal_boundaries(std::size_t rows, std::size_t cols,
+                                 const ScoringScheme& scheme, bool free_top,
+                                 bool free_left) {
+  Boundaries lines{std::vector<Score>(cols + 1, 0),
+                   std::vector<Score>(rows + 1, 0)};
+  if (!free_top) init_global_boundary_linear(scheme, lines.top);
+  if (!free_left) init_global_boundary_linear(scheme, lines.left);
+  return lines;
+}
+
+/// The optimal end on the last DPM row: its argmax, ties to the smallest
+/// column.
+SemiGlobalEnd best_on_last_row(std::span<const Score> last_row,
+                               std::size_t rows) {
+  SemiGlobalEnd end;
+  end.row = rows;
+  end.score = last_row[0];
+  end.col = 0;
+  for (std::size_t j = 1; j < last_row.size(); ++j) {
+    if (last_row[j] > end.score) {
+      end.score = last_row[j];
+      end.col = j;
+    }
+  }
+  return end;
+}
+
+/// Score-only sweep with semi-global boundaries; returns the argmax over
+/// the last DPM row.
 SemiGlobalEnd sweep_with_boundaries(std::span<const Residue> a,
                                     std::span<const Residue> b,
                                     const ScoringScheme& scheme,
                                     bool free_top, bool free_left,
                                     DpCounters* counters) {
-  FLSA_REQUIRE(scheme.is_linear());
-  const Score gap = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  std::vector<Score> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) {
-    row[j] = free_top ? 0 : static_cast<Score>(j) * gap;
-  }
-  for (std::size_t r = 1; r <= a.size(); ++r) {
-    Score diag = row[0];
-    row[0] = free_left ? 0 : static_cast<Score>(r) * gap;
-    const Residue ar = a[r - 1];
-    for (std::size_t c = 1; c <= b.size(); ++c) {
-      const Score up = row[c];
-      row[c] = std::max(diag + sub.at(ar, b[c - 1]),
-                        std::max(up, row[c - 1]) + gap);
-      diag = up;
-    }
-  }
-  if (counters) {
-    counters->cells_scored += static_cast<std::uint64_t>(a.size()) * b.size();
-  }
-  SemiGlobalEnd end;
-  end.row = a.size();
-  end.score = row[0];
-  end.col = 0;
-  for (std::size_t j = 1; j <= b.size(); ++j) {
-    if (row[j] > end.score) {
-      end.score = row[j];
-      end.col = j;
-    }
-  }
-  return end;
+  Boundaries lines =
+      semiglobal_boundaries(a.size(), b.size(), scheme, free_top, free_left);
+  sweep_rectangle_linear(a, b, scheme, lines.top, lines.left, lines.top, {},
+                         counters);
+  return best_on_last_row(lines.top, a.size());
 }
 
 /// Full matrix with configurable boundaries; traceback from the best
@@ -63,28 +68,13 @@ Alignment semiglobal_full_matrix(const Sequence& a, const Sequence& b,
   FLSA_REQUIRE(scheme.is_linear());
   const std::size_t m = a.size();
   const std::size_t n = b.size();
-  const Score gap = scheme.gap_extend();
-  std::vector<Score> top(n + 1), left(m + 1);
-  for (std::size_t j = 0; j <= n; ++j) {
-    top[j] = free_top ? 0 : static_cast<Score>(j) * gap;
-  }
-  for (std::size_t r = 0; r <= m; ++r) {
-    left[r] = free_left ? 0 : static_cast<Score>(r) * gap;
-  }
+  const Boundaries lines =
+      semiglobal_boundaries(m, n, scheme, free_top, free_left);
   Matrix2D<Score> dpm;
-  fill_full_matrix_linear(a.residues(), b.residues(), scheme, top, left, dpm,
-                          counters);
-
-  SemiGlobalEnd end;
-  end.row = m;
-  end.score = dpm(m, 0);
-  end.col = 0;
-  for (std::size_t j = 1; j <= n; ++j) {
-    if (dpm(m, j) > end.score) {
-      end.score = dpm(m, j);
-      end.col = j;
-    }
-  }
+  fill_full_matrix_linear(a.residues(), b.residues(), scheme, lines.top,
+                          lines.left, dpm, counters);
+  const SemiGlobalEnd end =
+      best_on_last_row(std::span<const Score>(dpm.row(m), n + 1), m);
 
   Path path(Cell{m, end.col});
   traceback_rectangle_linear(a.residues(), b.residues(), scheme, dpm, m,
@@ -93,7 +83,6 @@ Alignment semiglobal_full_matrix(const Sequence& a, const Sequence& b,
   // matched region. On the free boundary the remaining moves are skipped
   // residues, not gaps; on the charged boundary they are real gaps.
   Alignment out;
-  const Cell front = path.front();
   std::size_t a_begin = 0, b_begin = 0;
   if (free_top) {
     // fitting: stop must be on row 0 (free), column gives the window start.
@@ -106,89 +95,8 @@ Alignment semiglobal_full_matrix(const Sequence& a, const Sequence& b,
     while (path.front().col > 0) path.push_traceback(Move::kLeft);
     a_begin = path.front().row;
   }
-  (void)front;
 
   // Materialize the gapped rows over the matched region only.
-  std::string ga, gb;
-  std::size_t i = a_begin, j = b_begin;
-  for (auto it = path.traceback_moves().rbegin();
-       it != path.traceback_moves().rend(); ++it) {
-    switch (*it) {
-      case Move::kDiag:
-        ga.push_back(a.alphabet().letter(a[i++]));
-        gb.push_back(b.alphabet().letter(b[j++]));
-        break;
-      case Move::kUp:
-        ga.push_back(a.alphabet().letter(a[i++]));
-        gb.push_back('-');
-        break;
-      case Move::kLeft:
-        ga.push_back('-');
-        gb.push_back(b.alphabet().letter(b[j++]));
-        break;
-    }
-  }
-  out.gapped_a = std::move(ga);
-  out.gapped_b = std::move(gb);
-  out.score = end.score;
-  out.a_begin = a_begin;
-  out.a_end = m;
-  out.b_begin = b_begin;
-  out.b_end = end.col;
-  FLSA_ASSERT(i == m && j == end.col);
-  return out;
-}
-
-/// Affine variant of semiglobal_full_matrix: free boundaries hold
-/// D = 0 with dead gap lanes; charged boundaries are the usual affine gap
-/// ramps.
-Alignment semiglobal_full_matrix_affine(const Sequence& a,
-                                        const Sequence& b,
-                                        const ScoringScheme& scheme,
-                                        bool free_top, bool free_left,
-                                        DpCounters* counters) {
-  const std::size_t m = a.size();
-  const std::size_t n = b.size();
-  std::vector<AffineCell> top(n + 1), left(m + 1);
-  if (free_top) {
-    for (auto& cell : top) cell = AffineCell{0, kNegInf, kNegInf};
-  } else {
-    init_global_boundary_affine(scheme, top, /*horizontal=*/true);
-  }
-  if (free_left) {
-    for (auto& cell : left) cell = AffineCell{0, kNegInf, kNegInf};
-  } else {
-    init_global_boundary_affine(scheme, left, /*horizontal=*/false);
-  }
-  top[0] = left[0] = AffineCell{0, kNegInf, kNegInf};
-  Matrix2D<AffineCell> dpm;
-  fill_full_matrix_affine(a.residues(), b.residues(), scheme, top, left,
-                          dpm, counters);
-
-  SemiGlobalEnd end;
-  end.row = m;
-  end.score = dpm(m, 0).d;
-  end.col = 0;
-  for (std::size_t j = 1; j <= n; ++j) {
-    if (dpm(m, j).d > end.score) {
-      end.score = dpm(m, j).d;
-      end.col = j;
-    }
-  }
-
-  Path path(Cell{m, end.col});
-  traceback_rectangle_affine(a.residues(), b.residues(), scheme, dpm, m,
-                             end.col, AffineState::kD, path, counters);
-  Alignment out;
-  std::size_t a_begin = 0, b_begin = 0;
-  if (free_top) {
-    while (path.front().row > 0) path.push_traceback(Move::kUp);
-    b_begin = path.front().col;
-  } else {
-    while (path.front().col > 0) path.push_traceback(Move::kLeft);
-    a_begin = path.front().row;
-  }
-
   std::string ga, gb;
   std::size_t i = a_begin, j = b_begin;
   for (auto it = path.traceback_moves().rbegin();
@@ -249,22 +157,6 @@ Alignment overlap_align_full_matrix(const Sequence& a, const Sequence& b,
                                     DpCounters* counters) {
   return semiglobal_full_matrix(a, b, scheme, /*free_top=*/false,
                                 /*free_left=*/true, counters);
-}
-
-Alignment fitting_align_full_matrix_affine(const Sequence& a,
-                                           const Sequence& b,
-                                           const ScoringScheme& scheme,
-                                           DpCounters* counters) {
-  return semiglobal_full_matrix_affine(a, b, scheme, /*free_top=*/true,
-                                       /*free_left=*/false, counters);
-}
-
-Alignment overlap_align_full_matrix_affine(const Sequence& a,
-                                           const Sequence& b,
-                                           const ScoringScheme& scheme,
-                                           DpCounters* counters) {
-  return semiglobal_full_matrix_affine(a, b, scheme, /*free_top=*/false,
-                                       /*free_left=*/true, counters);
 }
 
 }  // namespace flsa

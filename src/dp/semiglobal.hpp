@@ -53,17 +53,4 @@ Alignment overlap_align_full_matrix(const Sequence& a, const Sequence& b,
                                     const ScoringScheme& scheme,
                                     DpCounters* counters = nullptr);
 
-/// Affine-gap fitting alignment (Gotoh lanes, free `b` ends).
-Alignment fitting_align_full_matrix_affine(const Sequence& a,
-                                           const Sequence& b,
-                                           const ScoringScheme& scheme,
-                                           DpCounters* counters = nullptr);
-
-/// Affine-gap overlap alignment (Gotoh lanes, free `a` prefix and `b`
-/// suffix).
-Alignment overlap_align_full_matrix_affine(const Sequence& a,
-                                           const Sequence& b,
-                                           const ScoringScheme& scheme,
-                                           DpCounters* counters = nullptr);
-
 }  // namespace flsa

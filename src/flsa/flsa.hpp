@@ -14,7 +14,6 @@
 #include "core/fastlsa.hpp"
 #include "core/local_align.hpp"
 #include "core/semiglobal.hpp"
-#include "core/textutil.hpp"
 #include "dp/alignment.hpp"
 #include "dp/banded.hpp"
 #include "dp/cooptimal.hpp"
@@ -27,7 +26,6 @@
 #include "dp/packed_traceback.hpp"
 #include "dp/semiglobal.hpp"
 #include "dp/path.hpp"
-#include "dp/query_profile.hpp"
 #include "hirschberg/hirschberg.hpp"
 #include "hirschberg/hirschberg_affine.hpp"
 #include "msa/center_star.hpp"
@@ -46,7 +44,6 @@
 #include "scoring/scheme.hpp"
 #include "scoring/statistics.hpp"
 #include "sequence/fasta.hpp"
-#include "sequence/fastq.hpp"
 #include "sequence/generate.hpp"
 #include "sequence/sequence.hpp"
 #include "simexec/model.hpp"

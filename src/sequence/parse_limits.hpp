@@ -1,6 +1,6 @@
-// Input limits for the FASTA/FASTQ parsers.
+// Input limits for the FASTA parser.
 //
-// The alignment service put these parsers in front of untrusted bytes:
+// The alignment service put this parser in front of untrusted bytes:
 // a hostile or corrupt stream must produce a clean typed error, never an
 // unbounded allocation or a crash. Lines are read through a bounded
 // reader that stops growing at max_line_bytes (a getline-then-check

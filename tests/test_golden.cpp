@@ -58,14 +58,6 @@ TEST(Golden, AffineScoreStable) {
             7562);
 }
 
-TEST(Golden, EditDistanceAndLcsStable) {
-  const SequencePair pair = bench::sized_workload(500).make();
-  const std::string a = pair.a.to_string();
-  const std::string b = pair.b.to_string();
-  EXPECT_EQ(edit_distance(a, b), 115u);
-  EXPECT_EQ(longest_common_subsequence(a, b).length, 402u);
-}
-
 // The paper's Figure 1 worked example (MDM78, optimal score 82) on EVERY
 // registered kernel tier — including the saturating narrow tier — and
 // every wavefront scheduler. The registry loop means a newly added tier

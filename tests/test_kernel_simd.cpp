@@ -10,7 +10,6 @@
 #include "dp/gotoh.hpp"
 #include "dp/kernel.hpp"
 #include "dp/kernel_simd.hpp"
-#include "dp/query_profile.hpp"
 #include "scoring/builtin.hpp"
 #include "sequence/generate.hpp"
 #include "support/prng.hpp"
@@ -125,24 +124,6 @@ TEST_P(SimdLinear, InPlaceAliasedSweepMatchesScalar) {
   EXPECT_EQ(row_v, row_s);
 }
 
-TEST_P(SimdLinear, ProfiledLastRowMatchesScalar) {
-  const auto [m, n] = GetParam();
-  for (const auto& [name, scheme] : linear_schemes()) {
-    const Alphabet& alphabet = scheme.matrix().alphabet();
-    Xoshiro256 rng(7 * m + 13 * n + 5);
-    const Sequence a = random_sequence(alphabet, m, rng);
-    const Sequence b = random_sequence(alphabet, n, rng);
-    const QueryProfile profile(b.residues(), scheme.matrix());
-    DpCounters counters_s, counters_v;
-    const std::vector<Score> row_s =
-        last_row_profiled(a.residues(), profile, scheme, &counters_s);
-    const std::vector<Score> row_v =
-        last_row_profiled_simd(a.residues(), profile, scheme, &counters_v);
-    EXPECT_EQ(row_v, row_s) << name << " " << m << "x" << n;
-    EXPECT_EQ(counters_v.cells_scored, counters_s.cells_scored) << name;
-  }
-}
-
 class SimdAffine
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
@@ -209,10 +190,6 @@ TEST(SimdKernel, DispatchOverloadsAgreeWithScalar) {
         << to_string(kind);
     EXPECT_EQ(
         last_row_linear(kind, a.residues(), b.residues(), scheme).back(),
-        expect)
-        << to_string(kind);
-    EXPECT_EQ(
-        global_score_profiled(kind, a.residues(), b.residues(), scheme),
         expect)
         << to_string(kind);
   }

@@ -111,19 +111,6 @@ ScoringScheme affine_local_scheme() {
   return ScoringScheme(m, -8, -2);
 }
 
-TEST(LocalAffine, ScorePassAgreesWithFullMatrix) {
-  Xoshiro256 rng(56);
-  const ScoringScheme scheme = affine_local_scheme();
-  for (int trial = 0; trial < 20; ++trial) {
-    const Sequence a =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(50), rng);
-    const Sequence b =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(50), rng);
-    EXPECT_EQ(local_score_affine(a.residues(), b.residues(), scheme).score,
-              local_align_full_matrix_affine(a, b, scheme).score);
-  }
-}
-
 TEST(LocalAffine, ReducesToLinearWhenOpenIsZero) {
   Xoshiro256 rng(57);
   const SubstitutionMatrix m = scoring::dna(5, -4);

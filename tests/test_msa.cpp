@@ -166,5 +166,42 @@ TEST(CenterStar, RejectsBadInput) {
                std::invalid_argument);
 }
 
+TEST(Consensus, MajorityRuleAndGapSkipping) {
+  msa::MultipleAlignment aln;
+  aln.rows = {"AC-GT", "AC-GA", "ATCGT"};
+  EXPECT_EQ(msa::consensus(aln, Alphabet::dna()), "ACGT");
+  const auto conservation =
+      msa::column_conservation(aln, Alphabet::dna());
+  ASSERT_EQ(conservation.size(), 5u);
+  EXPECT_NEAR(conservation[0], 1.0, 1e-12);        // AAA
+  EXPECT_NEAR(conservation[1], 2.0 / 3.0, 1e-12);  // CCT
+  EXPECT_NEAR(conservation[2], 0.0, 1e-12);        // --C: gap majority
+  EXPECT_NEAR(conservation[3], 1.0, 1e-12);        // GGG
+  EXPECT_NEAR(conservation[4], 2.0 / 3.0, 1e-12);  // TAT
+}
+
+TEST(Consensus, RecoversAncestorOfACleanFamily) {
+  Xoshiro256 rng(272);
+  const Sequence ancestor = random_sequence(Alphabet::dna(), 80, rng);
+  MutationModel light;
+  light.substitution_rate = 0.05;
+  light.insertion_rate = 0.005;
+  light.deletion_rate = 0.005;
+  std::vector<Sequence> family;
+  for (int i = 0; i < 7; ++i) {
+    family.push_back(mutate(ancestor, light, rng));
+  }
+  const msa::MultipleAlignment aln = msa::center_star_align(family, scheme());
+  const Sequence cons(Alphabet::dna(),
+                      msa::consensus(aln, Alphabet::dna()));
+  // Independent mutations mostly cancel: the consensus is very close to
+  // the ancestor. With match 0 and every mismatch or gap -1, the optimal
+  // global score is minus the edit distance.
+  const SubstitutionMatrix unit = scoring::identity(Alphabet::dna(), 0, -1);
+  const double d = static_cast<double>(
+      -full_matrix_score(cons, ancestor, ScoringScheme(unit, -1)));
+  EXPECT_LT(d / static_cast<double>(ancestor.size()), 0.10);
+}
+
 }  // namespace
 }  // namespace flsa

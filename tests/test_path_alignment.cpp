@@ -139,5 +139,16 @@ TEST(Alignment, FromPathRequiresCompletePath) {
   EXPECT_THROW(alignment_from_path(a, b, p, scheme), std::invalid_argument);
 }
 
+TEST(SimilarColumns, CountsPositiveScorePairs) {
+  // The paper's motivating example: V/L are similar (12 > 0), K/L are not.
+  Alignment aln;
+  aln.gapped_a = "VKL-";
+  aln.gapped_b = "LLLP";
+  const std::size_t similar =
+      similar_columns(aln, scoring::mdm78(), Alphabet::protein());
+  // V/L similar, K/L not, L/L match (also similar), -/P gap ignored.
+  EXPECT_EQ(similar, 2u);
+}
+
 }  // namespace
 }  // namespace flsa

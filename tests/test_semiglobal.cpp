@@ -179,105 +179,6 @@ TEST(Semiglobal, EmptyInputs) {
   EXPECT_EQ(overlap_align_full_matrix(empty, acg, scheme()).score, 0);
 }
 
-// ---------- affine-gap semi-global ----------
-
-ScoringScheme affine_sg() {
-  static const SubstitutionMatrix m = scoring::dna(5, -4);
-  return ScoringScheme(m, -8, -2);
-}
-
-Score brute_force_fitting_affine(const Sequence& a, const Sequence& b) {
-  Score best = kNegInf;
-  for (std::size_t js = 0; js <= b.size(); ++js) {
-    for (std::size_t je = js; je <= b.size(); ++je) {
-      const Sequence window = b.subsequence(js, je - js);
-      best = std::max(best,
-                      global_score_affine(a.residues(), window.residues(),
-                                          affine_sg()));
-    }
-  }
-  return best;
-}
-
-Score brute_force_overlap_affine(const Sequence& a, const Sequence& b) {
-  Score best = kNegInf;
-  for (std::size_t is = 0; is <= a.size(); ++is) {
-    const Sequence suffix = a.subsequence(is, a.size() - is);
-    for (std::size_t je = 0; je <= b.size(); ++je) {
-      const Sequence prefix = b.subsequence(0, je);
-      best = std::max(best,
-                      global_score_affine(suffix.residues(),
-                                          prefix.residues(), affine_sg()));
-    }
-  }
-  return best;
-}
-
-TEST(FittingAffine, MatchesBruteForceOnSmallPairs) {
-  Xoshiro256 rng(179);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Sequence a =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(7), rng);
-    const Sequence b =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(10), rng);
-    const Alignment aln = fitting_align_full_matrix_affine(a, b,
-                                                           affine_sg());
-    EXPECT_EQ(aln.score, brute_force_fitting_affine(a, b))
-        << a.to_string() << " / " << b.to_string();
-    EXPECT_EQ(score_alignment(aln, affine_sg(), Alphabet::dna()),
-              aln.score);
-  }
-}
-
-TEST(OverlapAffine, MatchesBruteForceOnSmallPairs) {
-  Xoshiro256 rng(180);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Sequence a =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(9), rng);
-    const Sequence b =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(9), rng);
-    const Alignment aln = overlap_align_full_matrix_affine(a, b,
-                                                           affine_sg());
-    EXPECT_EQ(aln.score, brute_force_overlap_affine(a, b))
-        << a.to_string() << " / " << b.to_string();
-    if (aln.length() > 0) {
-      EXPECT_EQ(score_alignment(aln, affine_sg(), Alphabet::dna()),
-                aln.score);
-    }
-  }
-}
-
-TEST(SemiglobalAffine, ReducesToLinearWhenOpenIsZero) {
-  Xoshiro256 rng(181);
-  const SubstitutionMatrix m = scoring::dna(5, -4);
-  const ScoringScheme affine(m, 0, -6);
-  const ScoringScheme linear(m, -6);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Sequence a =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(30), rng);
-    const Sequence b =
-        random_sequence(Alphabet::dna(), 1 + rng.bounded(30), rng);
-    EXPECT_EQ(fitting_align_full_matrix_affine(a, b, affine).score,
-              fitting_align_full_matrix(a, b, linear).score);
-    EXPECT_EQ(overlap_align_full_matrix_affine(a, b, affine).score,
-              overlap_align_full_matrix(a, b, linear).score);
-  }
-}
-
-TEST(FittingAffine, LongInternalGapBenefitsFromAffine) {
-  // A query matching two blocks of the host separated by an insertion:
-  // the affine model charges one open for the long internal gap.
-  const SubstitutionMatrix m = scoring::dna(10, -10);
-  const ScoringScheme scheme(m, -9, -1);
-  const Sequence query(Alphabet::dna(), "ACGTACGT");
-  const Sequence host(Alphabet::dna(),
-                      "TTTTTACGTGGGGGGGGGGGGACGTTTTTT");
-  const Alignment aln = fitting_align_full_matrix_affine(query, host,
-                                                         scheme);
-  // 8 matches (80) + one 12-gap in the query (-9 - 12).
-  EXPECT_EQ(aln.score, 80 - 9 - 12);
-}
-
 TEST(Semiglobal, RejectsAffine) {
   const SubstitutionMatrix m = scoring::dna();
   const ScoringScheme affine(m, -5, -1);

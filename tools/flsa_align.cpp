@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
               "linear gap penalty per residue (<= 0)");
   cli.add_int("gap-open", flsa::kDefaultGapOpen,
               "affine gap-open penalty (<= 0; 0 selects linear gaps; "
-              "global mode only)");
+              "global and local modes only)");
   cli.add_string("algorithm", "auto",
                  "auto | full-matrix | hirschberg | fastlsa | parallel");
   cli.add_int("k", 8, "FastLSA division factor");
@@ -146,6 +146,13 @@ int main(int argc, char** argv) {
     const flsa::ScoringScheme scheme =
         gap_open == 0 ? flsa::ScoringScheme(*matrix, gap)
                       : flsa::ScoringScheme(*matrix, gap_open, gap);
+    const std::string mode = cli.get_string("mode");
+    if (!scheme.is_linear() && (mode == "fitting" || mode == "overlap")) {
+      std::cerr << "error: --gap-open applies to --mode global and local "
+                   "only; --mode "
+                << mode << " aligns with linear gaps (drop --gap-open)\n";
+      return 2;
+    }
 
     const LoadedInputs inputs = load_inputs(cli.positional(), alphabet);
     const flsa::Sequence& a = inputs.a;
@@ -194,7 +201,6 @@ int main(int argc, char** argv) {
     if (metrics_on) flsa::obs::set_enabled(true);
     if (!trace_path.empty()) flsa::obs::set_active_trace(&trace);
 
-    const std::string mode = cli.get_string("mode");
     flsa::Timer timer;
     flsa::Alignment aln;
     flsa::FastLsaStats stats;
