@@ -32,7 +32,8 @@ void BM_RowKernelWidth(benchmark::State& state) {
   const flsa::ScoringScheme& scheme = flsa::ScoringScheme::paper_default();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        flsa::global_score_linear(a.residues(), b.residues(), scheme));
+        flsa::global_score_linear(flsa::KernelKind::kScalar, a.residues(),
+                                  b.residues(), scheme));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * width));
@@ -78,7 +79,8 @@ void BM_RowKernelPlain(benchmark::State& state) {
   const flsa::ScoringScheme& scheme = flsa::ScoringScheme::paper_default();
   for (auto _ : state) {
     benchmark::DoNotOptimize(flsa::global_score_linear(
-        pair.a.residues(), pair.b.residues(), scheme));
+        flsa::KernelKind::kScalar, pair.a.residues(), pair.b.residues(),
+        scheme));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *

@@ -116,7 +116,7 @@ int main() {
     const flsa::ScoringScheme scheme(matrix, -4);
     flsa::DpCounters counters;
     const flsa::Score score =
-        flsa::banded_score(pair.a, pair.b, scheme, kBand, &counters);
+        flsa::banded_align(pair.a, pair.b, scheme, kBand, &counters).score;
     const std::uint64_t fm_bytes = flsa::mul_sat_u64(
         flsa::service::estimated_cells(pair.a.size(), pair.b.size()),
         sizeof(flsa::Score));

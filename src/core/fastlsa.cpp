@@ -4,6 +4,7 @@
 
 #include "core/engine.hpp"
 #include "dp/kernel.hpp"
+#include "support/assert.hpp"
 
 namespace flsa {
 
@@ -36,6 +37,24 @@ Alignment fastlsa_align_affine(const Sequence& a, const Sequence& b,
   plan.executor = &executor;
   detail::FastLsaEngine<true> engine(a, b, scheme, options, plan, stats);
   return engine.run();
+}
+
+Alignment detail::solve_window(const Sequence& a, std::size_t a_begin,
+                               std::size_t a_end, const Sequence& b,
+                               std::size_t b_begin, std::size_t b_end,
+                               [[maybe_unused]] Score score,
+                               const ScoringScheme& scheme,
+                               const FastLsaOptions& options,
+                               FastLsaStats& stats) {
+  Alignment out = fastlsa_align(a.subsequence(a_begin, a_end - a_begin),
+                                b.subsequence(b_begin, b_end - b_begin),
+                                scheme, options, &stats);
+  FLSA_ASSERT(out.score == score);
+  out.a_begin = a_begin;
+  out.a_end = a_end;
+  out.b_begin = b_begin;
+  out.b_end = b_end;
+  return out;
 }
 
 Score fastlsa_score(const Sequence& a, const Sequence& b,

@@ -105,6 +105,21 @@ Alignment fastlsa_align_affine(const Sequence& a, const Sequence& b,
                                const FastLsaOptions& options = {},
                                FastLsaStats* stats = nullptr);
 
+namespace detail {
+
+/// Solves the window a[a_begin..a_end) x b[b_begin..b_end) that a locate
+/// pass found — a global problem once located — with fastlsa_align, and
+/// returns it with the window as its region. `score` is the locate pass's
+/// optimum, which the window's alignment must reproduce. Shared by
+/// local_align, fitting_align and overlap_align.
+Alignment solve_window(const Sequence& a, std::size_t a_begin,
+                       std::size_t a_end, const Sequence& b,
+                       std::size_t b_begin, std::size_t b_end, Score score,
+                       const ScoringScheme& scheme,
+                       const FastLsaOptions& options, FastLsaStats& stats);
+
+}  // namespace detail
+
 /// Optimal score only (linear scheme), using FastLSA's FindScore phase —
 /// one row sweep, no grid caches. Provided for completeness/benchmarks.
 Score fastlsa_score(const Sequence& a, const Sequence& b,

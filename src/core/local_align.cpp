@@ -1,56 +1,12 @@
 #include "core/local_align.hpp"
 
-#include <algorithm>
 #include <vector>
 
+#include "dp/kernel.hpp"
 #include "dp/local.hpp"
 #include "support/assert.hpp"
 
 namespace flsa {
-
-namespace {
-
-/// Global (Needleman-Wunsch) score pass that records the maximum entry of
-/// the whole DPM and its first position in row-major order. Used as the
-/// anchored reverse pass: the maximizing cell marks where the optimal local
-/// alignment, pinned to end at the anchor, starts.
-LocalScoreResult global_argmax_pass(std::span<const Residue> a,
-                                    std::span<const Residue> b,
-                                    const ScoringScheme& scheme,
-                                    DpCounters* counters) {
-  const Score gap = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  std::vector<Score> row(b.size() + 1);
-  LocalScoreResult best;
-  best.score = 0;  // the empty alignment at (0, 0)
-  row[0] = 0;
-  for (std::size_t c = 1; c <= b.size(); ++c) {
-    row[c] = static_cast<Score>(c) * gap;
-  }
-  for (std::size_t r = 1; r <= a.size(); ++r) {
-    Score diag = row[0];
-    row[0] = static_cast<Score>(r) * gap;
-    const Residue ar = a[r - 1];
-    for (std::size_t c = 1; c <= b.size(); ++c) {
-      const Score up = row[c];
-      const Score value = std::max(
-          diag + sub.at(ar, b[c - 1]), std::max(up, row[c - 1]) + gap);
-      diag = up;
-      row[c] = value;
-      if (value > best.score) {
-        best.score = value;
-        best.row = r;
-        best.col = c;
-      }
-    }
-  }
-  if (counters) {
-    counters->cells_scored += static_cast<std::uint64_t>(a.size()) * b.size();
-  }
-  return best;
-}
-
-}  // namespace
 
 Alignment local_align(const Sequence& a, const Sequence& b,
                       const ScoringScheme& scheme,
@@ -60,35 +16,28 @@ Alignment local_align(const Sequence& a, const Sequence& b,
   FastLsaStats& st = stats ? *stats : local_stats;
 
   // 1. Forward local pass: locate the end of the best local alignment.
-  const LocalScoreResult fwd = local_score_linear(
-      a.residues(), b.residues(), scheme, &st.counters);
-  Alignment out;
-  out.score = fwd.score;
-  if (fwd.score == 0) return out;  // empty optimal local alignment
+  const BestCell fwd = local_score_linear(a.residues(), b.residues(), scheme,
+                                          &st.counters);
+  if (fwd.score == 0) return Alignment{};  // empty optimal local alignment
 
-  // 2. Anchored reverse pass over the reversed prefixes: the first cell
-  // attaining the local score marks the start of the alignment.
+  // 2. Anchored reverse pass: a global sweep over the reversed prefixes.
+  // Its best cell — the first in row-major order attaining the local
+  // score — marks where the alignment pinned to end at the anchor starts.
   const Sequence a_rev = a.subsequence(0, fwd.row).reversed();
   const Sequence b_rev = b.subsequence(0, fwd.col).reversed();
-  const LocalScoreResult rev = global_argmax_pass(
-      a_rev.residues(), b_rev.residues(), scheme, &st.counters);
+  std::vector<Score> row(b_rev.size() + 1), left(a_rev.size() + 1);
+  init_global_boundary_linear(scheme, row);
+  init_global_boundary_linear(scheme, left);
+  BestCell rev;
+  sweep_rectangle_linear(KernelKind::kScalar, a_rev.residues(),
+                         b_rev.residues(), scheme, row, left, row, {},
+                         &st.counters, DpMode::kGlobal, &rev);
   FLSA_ASSERT(rev.score == fwd.score);
-  const std::size_t a_begin = fwd.row - rev.row;
-  const std::size_t b_begin = fwd.col - rev.col;
 
-  // 3. The located rectangle is a global problem; solve it with FastLSA.
-  const Sequence a_sub = a.subsequence(a_begin, fwd.row - a_begin);
-  const Sequence b_sub = b.subsequence(b_begin, fwd.col - b_begin);
-  Alignment inner = fastlsa_align(a_sub, b_sub, scheme, options, &st);
-  FLSA_ASSERT(inner.score == fwd.score);
-
-  out.gapped_a = std::move(inner.gapped_a);
-  out.gapped_b = std::move(inner.gapped_b);
-  out.a_begin = a_begin;
-  out.a_end = fwd.row;
-  out.b_begin = b_begin;
-  out.b_end = fwd.col;
-  return out;
+  // 3. The located rectangle is a global problem; FastLSA solves it.
+  return detail::solve_window(a, fwd.row - rev.row, fwd.row, b,
+                              fwd.col - rev.col, fwd.col, fwd.score, scheme,
+                              options, st);
 }
 
 }  // namespace flsa

@@ -8,31 +8,6 @@
 
 namespace flsa {
 
-namespace {
-
-/// Runs FastLSA on the located rectangle and stitches region metadata.
-Alignment solve_window(const Sequence& a, std::size_t a_begin,
-                       std::size_t a_end, const Sequence& b,
-                       std::size_t b_begin, std::size_t b_end, Score score,
-                       const ScoringScheme& scheme,
-                       const FastLsaOptions& options, FastLsaStats& stats) {
-  const Sequence a_sub = a.subsequence(a_begin, a_end - a_begin);
-  const Sequence b_sub = b.subsequence(b_begin, b_end - b_begin);
-  Alignment inner = fastlsa_align(a_sub, b_sub, scheme, options, &stats);
-  FLSA_ASSERT(inner.score == score);
-  Alignment out;
-  out.gapped_a = std::move(inner.gapped_a);
-  out.gapped_b = std::move(inner.gapped_b);
-  out.score = score;
-  out.a_begin = a_begin;
-  out.a_end = a_end;
-  out.b_begin = b_begin;
-  out.b_end = b_end;
-  return out;
-}
-
-}  // namespace
-
 Alignment fitting_align(const Sequence& a, const Sequence& b,
                         const ScoringScheme& scheme,
                         const FastLsaOptions& options, FastLsaStats* stats) {
@@ -41,8 +16,8 @@ Alignment fitting_align(const Sequence& a, const Sequence& b,
   FastLsaStats& st = stats ? *stats : local_stats;
 
   // 1. Forward fitting pass: optimal window end in b.
-  const SemiGlobalEnd end = fitting_score_linear(a.residues(), b.residues(),
-                                                 scheme, &st.counters);
+  const BestCell end = fitting_score_linear(a.residues(), b.residues(),
+                                            scheme, &st.counters);
 
   // 2. Reverse global pass over the reversed prefix rectangle: the first
   // column attaining the fitting score marks the window start.
@@ -59,8 +34,8 @@ Alignment fitting_align(const Sequence& a, const Sequence& b,
   const std::size_t b_begin = end.col - rev_cols;
 
   // 3. The window is a global problem; FastLSA solves it.
-  return solve_window(a, 0, a.size(), b, b_begin, end.col, end.score, scheme,
-                      options, st);
+  return detail::solve_window(a, 0, a.size(), b, b_begin, end.col, end.score,
+                              scheme, options, st);
 }
 
 Alignment overlap_align(const Sequence& a, const Sequence& b,
@@ -71,8 +46,8 @@ Alignment overlap_align(const Sequence& a, const Sequence& b,
   FastLsaStats& st = stats ? *stats : local_stats;
 
   // 1. Forward overlap pass: end of the matched prefix of b.
-  const SemiGlobalEnd end = overlap_score_linear(a.residues(), b.residues(),
-                                                 scheme, &st.counters);
+  const BestCell end = overlap_score_linear(a.residues(), b.residues(),
+                                            scheme, &st.counters);
 
   // 2. Reverse global pass; the right-column values score each suffix of a
   // against all of b[0..end.col). The first row attaining the overlap
@@ -93,8 +68,8 @@ Alignment overlap_align(const Sequence& a, const Sequence& b,
   }
   const std::size_t a_begin = a.size() - rev_rows;
 
-  return solve_window(a, a_begin, a.size(), b, 0, end.col, end.score, scheme,
-                      options, st);
+  return detail::solve_window(a, a_begin, a.size(), b, 0, end.col,
+                              end.score, scheme, options, st);
 }
 
 }  // namespace flsa

@@ -73,14 +73,17 @@ std::string Alignment::pretty(std::size_t width) const {
 
 Alignment alignment_from_path(const Sequence& a, const Sequence& b,
                               const Path& path, const ScoringScheme& scheme) {
-  FLSA_REQUIRE(path.front() == (Cell{0, 0}));
-  FLSA_REQUIRE(path.end() == (Cell{a.size(), b.size()}));
+  const Cell front = path.front();
+  const Cell end = path.end();
+  FLSA_REQUIRE(end.row <= a.size() && end.col <= b.size());
   Alignment out;
-  out.a_end = a.size();
-  out.b_end = b.size();
+  out.a_begin = front.row;
+  out.a_end = end.row;
+  out.b_begin = front.col;
+  out.b_end = end.col;
   out.gapped_a.reserve(path.size());
   out.gapped_b.reserve(path.size());
-  std::size_t i = 0, j = 0;
+  std::size_t i = front.row, j = front.col;
   for (Move m : path.forward_moves()) {
     switch (m) {
       case Move::kDiag:
@@ -101,7 +104,7 @@ Alignment alignment_from_path(const Sequence& a, const Sequence& b,
         break;
     }
   }
-  FLSA_REQUIRE(i == a.size() && j == b.size());
+  FLSA_ASSERT(i == end.row && j == end.col);
   out.score = score_alignment(out, scheme, a.alphabet());
   return out;
 }

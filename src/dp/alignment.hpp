@@ -43,10 +43,14 @@ struct Alignment {
   std::string pretty(std::size_t width = 60) const;
 };
 
-/// Builds a global alignment from a complete path (front() == (0,0),
-/// end() == (m, n)). Recomputes and stores the path's score under `scheme`
-/// (for linear schemes this equals the sum of per-move contributions; affine
-/// schemes charge gap_open once per maximal gap run).
+/// Builds the alignment of the region a[front.row..end.row) x
+/// b[front.col..end.col) that `path` crosses: a global alignment when the
+/// path runs from (0,0) to (m, n), a local or semi-global one otherwise.
+/// This is the one place that writes gapped strings. Recomputes and stores
+/// the region's score under `scheme` (for linear schemes the sum of
+/// per-move contributions; affine schemes charge gap_open once per maximal
+/// gap run). Throws std::invalid_argument when the path's end lies outside
+/// `a` x `b`.
 Alignment alignment_from_path(const Sequence& a, const Sequence& b,
                               const Path& path, const ScoringScheme& scheme);
 

@@ -127,18 +127,4 @@ Alignment banded_align(const Sequence& a, const Sequence& b,
   return out;
 }
 
-Score banded_score(const Sequence& a, const Sequence& b,
-                   const ScoringScheme& scheme, std::size_t half_width,
-                   DpCounters* counters) {
-  FLSA_REQUIRE(scheme.is_linear());
-  FLSA_REQUIRE(half_width >= 1);
-  const Band band(a.size(), b.size(), half_width);
-  Matrix2D<Score> dpm;
-  fill_banded(a.residues(), b.residues(), scheme, band, dpm, counters);
-  const std::size_t t_end = static_cast<std::size_t>(
-      static_cast<std::ptrdiff_t>(b.size()) -
-      static_cast<std::ptrdiff_t>(a.size()) - band.lo);
-  return dpm(a.size(), t_end);
-}
-
 }  // namespace flsa

@@ -27,9 +27,4 @@ Alignment banded_align(const Sequence& a, const Sequence& b,
                        const ScoringScheme& scheme, std::size_t half_width,
                        DpCounters* counters = nullptr);
 
-/// Score-only banded pass (same band geometry).
-Score banded_score(const Sequence& a, const Sequence& b,
-                   const ScoringScheme& scheme, std::size_t half_width,
-                   DpCounters* counters = nullptr);
-
 }  // namespace flsa

@@ -4,80 +4,10 @@
 #include <vector>
 
 #include "dp/fullmatrix.hpp"
-#include "dp/kernel_simd.hpp"
+#include "dp/recurrence.hpp"
 #include "support/assert.hpp"
 
 namespace flsa {
-
-void sweep_rectangle_affine(std::span<const Residue> a,
-                            std::span<const Residue> b,
-                            const ScoringScheme& scheme,
-                            std::span<const AffineCell> top,
-                            std::span<const AffineCell> left,
-                            std::span<AffineCell> out_bottom,
-                            std::span<AffineCell> out_right,
-                            DpCounters* counters) {
-  const std::size_t rows = a.size();
-  const std::size_t cols = b.size();
-  FLSA_REQUIRE(top.size() == cols + 1);
-  FLSA_REQUIRE(left.size() == rows + 1);
-  FLSA_REQUIRE(top[0] == left[0]);
-  FLSA_REQUIRE(out_bottom.size() == cols + 1);
-  FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
-
-  const Score open = scheme.gap_open();
-  const Score ext = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-
-  if (out_bottom.data() != top.data()) {
-    std::copy(top.begin(), top.end(), out_bottom.begin());
-  }
-  AffineCell* row = out_bottom.data();
-  if (!out_right.empty()) out_right[0] = row[cols];
-
-  for (std::size_t r = 1; r <= rows; ++r) {
-    AffineCell diag = row[0];
-    row[0] = left[r];
-    const Residue ar = a[r - 1];
-    for (std::size_t c = 1; c <= cols; ++c) {
-      const AffineCell up = row[c];
-      const AffineCell& lf = row[c - 1];
-      AffineCell cell;
-      cell.ix = std::max(up.d + open, up.ix) + ext;
-      cell.iy = std::max(lf.d + open, lf.iy) + ext;
-      cell.d = std::max(diag.d + sub.at(ar, b[c - 1]),
-                        std::max(cell.ix, cell.iy));
-      diag = up;
-      row[c] = cell;
-    }
-    if (!out_right.empty()) out_right[r] = row[cols];
-  }
-
-  if (counters) {
-    counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
-  }
-}
-
-void sweep_rectangle_affine(KernelKind kind, std::span<const Residue> a,
-                            std::span<const Residue> b,
-                            const ScoringScheme& scheme,
-                            std::span<const AffineCell> top,
-                            std::span<const AffineCell> left,
-                            std::span<AffineCell> out_bottom,
-                            std::span<AffineCell> out_right,
-                            DpCounters* counters) {
-  const KernelKind resolved = resolve_kernel(kind);
-  // The narrow tiers have no affine core (three interdependent saturating
-  // matrices triple the rail-tracking work for little win); affine sweeps
-  // run the int32 SIMD kernel under any narrow request.
-  if (resolved == KernelKind::kSimd || resolved == KernelKind::kInt16) {
-    sweep_rectangle_affine_simd(a, b, scheme, top, left, out_bottom,
-                                out_right, counters);
-  } else {
-    sweep_rectangle_affine(a, b, scheme, top, left, out_bottom, out_right,
-                           counters);
-  }
-}
 
 void init_global_boundary_affine(const ScoringScheme& scheme,
                                  std::span<AffineCell> boundary,
@@ -98,12 +28,14 @@ void init_global_boundary_affine(const ScoringScheme& scheme,
   }
 }
 
+template <DpMode Mode>
 void fill_full_matrix_affine(std::span<const Residue> a,
                              std::span<const Residue> b,
                              const ScoringScheme& scheme,
                              std::span<const AffineCell> top,
                              std::span<const AffineCell> left,
-                             Matrix2D<AffineCell>& dpm, DpCounters* counters) {
+                             Matrix2D<AffineCell>& dpm, DpCounters* counters,
+                             BestCell* best) {
   const std::size_t rows = a.size();
   const std::size_t cols = b.size();
   FLSA_REQUIRE(top.size() == cols + 1);
@@ -112,34 +44,20 @@ void fill_full_matrix_affine(std::span<const Residue> a,
 
   dpm.resize(rows + 1, cols + 1);
   std::copy(top.begin(), top.end(), dpm.row(0));
-  const Score open = scheme.gap_open();
-  const Score ext = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  for (std::size_t r = 1; r <= rows; ++r) {
-    const AffineCell* prev = dpm.row(r - 1);
-    AffineCell* curr = dpm.row(r);
-    curr[0] = left[r];
-    const Residue ar = a[r - 1];
-    for (std::size_t c = 1; c <= cols; ++c) {
-      AffineCell cell;
-      cell.ix = std::max(prev[c].d + open, prev[c].ix) + ext;
-      cell.iy = std::max(curr[c - 1].d + open, curr[c - 1].iy) + ext;
-      cell.d = std::max(prev[c - 1].d + sub.at(ar, b[c - 1]),
-                        std::max(cell.ix, cell.iy));
-      curr[c] = cell;
-    }
-  }
+  for (std::size_t r = 1; r <= rows; ++r) dpm(r, 0) = left[r];
+  fill_matrix_region_affine<Mode>(a, b, scheme, dpm, 1, 1, rows, cols, best);
   if (counters) {
     counters->cells_stored += static_cast<std::uint64_t>(rows) * cols;
   }
 }
 
+template <DpMode Mode>
 void fill_matrix_region_affine(std::span<const Residue> a,
                                std::span<const Residue> b,
                                const ScoringScheme& scheme,
                                Matrix2D<AffineCell>& dpm, std::size_t row0,
                                std::size_t col0, std::size_t rows,
-                               std::size_t cols) {
+                               std::size_t cols, BestCell* best) {
   FLSA_REQUIRE(row0 >= 1 && col0 >= 1);
   FLSA_REQUIRE(row0 + rows <= dpm.rows() && col0 + cols <= dpm.cols());
   const Score open = scheme.gap_open();
@@ -150,16 +68,18 @@ void fill_matrix_region_affine(std::span<const Residue> a,
     AffineCell* curr = dpm.row(r);
     const Residue ar = a[r - 1];
     for (std::size_t c = col0; c < col0 + cols; ++c) {
-      AffineCell cell;
-      cell.ix = std::max(prev[c].d + open, prev[c].ix) + ext;
-      cell.iy = std::max(curr[c - 1].d + open, curr[c - 1].iy) + ext;
-      cell.d = std::max(prev[c - 1].d + sub.at(ar, b[c - 1]),
-                        std::max(cell.ix, cell.iy));
-      curr[c] = cell;
+      curr[c] = affine_cell<Mode>(prev[c - 1], prev[c], curr[c - 1],
+                                  sub.at(ar, b[c - 1]), open, ext);
+      if constexpr (Mode == DpMode::kLocal) {
+        if (best && curr[c].d > best->score) {
+          *best = BestCell{curr[c].d, r, c};
+        }
+      }
     }
   }
 }
 
+template <DpMode Mode>
 AffineState traceback_rectangle_affine(std::span<const Residue> a,
                                        std::span<const Residue> b,
                                        const ScoringScheme& scheme,
@@ -177,6 +97,10 @@ AffineState traceback_rectangle_affine(std::span<const Residue> a,
   std::uint64_t steps = 0;
   while (r > 0 && c > 0) {
     const AffineCell& cell = dpm(r, c);
+    // A local alignment starts where its D lane was floored at 0.
+    if constexpr (Mode == DpMode::kLocal) {
+      if (state == AffineState::kD && cell.d == 0) break;
+    }
     switch (state) {
       case AffineState::kD: {
         const Score via_diag = dpm(r - 1, c - 1).d + sub.at(a[r - 1], b[c - 1]);
@@ -222,6 +146,24 @@ AffineState traceback_rectangle_affine(std::span<const Residue> a,
   return state;
 }
 
+#define FLSA_INSTANTIATE_AFFINE(Mode)                                      \
+  template void fill_full_matrix_affine<Mode>(                             \
+      std::span<const Residue>, std::span<const Residue>,                  \
+      const ScoringScheme&, std::span<const AffineCell>,                   \
+      std::span<const AffineCell>, Matrix2D<AffineCell>&, DpCounters*,     \
+      BestCell*);                                                          \
+  template void fill_matrix_region_affine<Mode>(                           \
+      std::span<const Residue>, std::span<const Residue>,                  \
+      const ScoringScheme&, Matrix2D<AffineCell>&, std::size_t,            \
+      std::size_t, std::size_t, std::size_t, BestCell*);                   \
+  template AffineState traceback_rectangle_affine<Mode>(                   \
+      std::span<const Residue>, std::span<const Residue>,                  \
+      const ScoringScheme&, const Matrix2D<AffineCell>&, std::size_t,      \
+      std::size_t, AffineState, Path&, DpCounters*);
+FLSA_INSTANTIATE_AFFINE(DpMode::kGlobal)
+FLSA_INSTANTIATE_AFFINE(DpMode::kLocal)
+#undef FLSA_INSTANTIATE_AFFINE
+
 Alignment full_matrix_align_affine(const Sequence& a, const Sequence& b,
                                    const ScoringScheme& scheme,
                                    DpCounters* counters) {
@@ -249,7 +191,8 @@ Score global_score_affine(std::span<const Residue> a,
   std::vector<AffineCell> left(a.size() + 1);
   init_global_boundary_affine(scheme, row, /*horizontal=*/true);
   init_global_boundary_affine(scheme, left, /*horizontal=*/false);
-  sweep_rectangle_affine(a, b, scheme, row, left, row, {}, counters);
+  sweep_rectangle_affine(KernelKind::kScalar, a, b, scheme, row, left, row,
+                         {}, counters);
   return row.back().d;
 }
 

@@ -622,8 +622,8 @@ void sweep_rectangle_linear_narrow(std::span<const Residue> a,
   FLSA_REQUIRE(out_bottom.size() == cols + 1);
   FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
   if (rows == 0 || cols == 0) {
-    sweep_rectangle_linear(a, b, scheme, top, left, out_bottom, out_right,
-                           counters);
+    sweep_rectangle_linear(KernelKind::kScalar, a, b, scheme, top, left,
+                           out_bottom, out_right, counters);
     return;
   }
 

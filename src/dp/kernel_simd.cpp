@@ -237,8 +237,8 @@ void sweep_rectangle_linear_simd(std::span<const Residue> a,
 #endif
   // No vector ISA (or a degenerate rectangle): the scalar kernel is the
   // fallback and already produces the reference results.
-  sweep_rectangle_linear(a, b, scheme, top, left, out_bottom, out_right,
-                         counters);
+  sweep_rectangle_linear(KernelKind::kScalar, a, b, scheme, top, left,
+                         out_bottom, out_right, counters);
 }
 
 void sweep_rectangle_affine_simd(std::span<const Residue> a,
@@ -270,8 +270,8 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
     return;
   }
 #endif
-  sweep_rectangle_affine(a, b, scheme, top, left, out_bottom, out_right,
-                         counters);
+  sweep_rectangle_affine(KernelKind::kScalar, a, b, scheme, top, left,
+                         out_bottom, out_right, counters);
 }
 
 }  // namespace flsa

@@ -7,39 +7,37 @@
 //  - overlap (dovetail): align a suffix of `a` against a prefix of `b`
 //    (free prefix of `a`, free suffix of `b`) — read-overlap detection in
 //    assembly.
-// Full-matrix solvers live here as the reference; the linear-space
-// versions built on FastLSA live in core/semiglobal.hpp.
+// Both are global mode of the shared DP calls over a free (all-zero) top
+// row or left column: the score passes are one sweep_rectangle_linear
+// call each, and the full-matrix solvers — the reference — are one stored
+// fill and one traceback, materialised by alignment_from_path over the
+// matched region. The linear-space versions built on FastLSA live in
+// core/semiglobal.hpp.
 #pragma once
 
 #include "dp/alignment.hpp"
 #include "dp/counters.hpp"
+#include "dp/kernel.hpp"
 #include "scoring/scheme.hpp"
 #include "sequence/sequence.hpp"
 
 namespace flsa {
 
-/// Result of a score-only semi-global pass: the optimal score and the DPM
-/// cell where the optimal path ends. Ties resolve to the smallest
-/// coordinate (deterministic).
-struct SemiGlobalEnd {
-  Score score = 0;
-  std::size_t row = 0;
-  std::size_t col = 0;
-};
-
 /// Linear-space fitting score pass: top row free (zeros), left column a
-/// gap ramp; optimum over the last row. end.row == a.size().
-SemiGlobalEnd fitting_score_linear(std::span<const Residue> a,
-                                   std::span<const Residue> b,
-                                   const ScoringScheme& scheme,
-                                   DpCounters* counters = nullptr);
+/// gap ramp. Returns the optimal score and the DPM cell where the optimal
+/// path ends: the last row's maximum, ties to the smallest column, so
+/// row == a.size().
+BestCell fitting_score_linear(std::span<const Residue> a,
+                              std::span<const Residue> b,
+                              const ScoringScheme& scheme,
+                              DpCounters* counters = nullptr);
 
 /// Linear-space overlap score pass: left column free (zeros), top row a
-/// gap ramp; optimum over the last row. end.row == a.size().
-SemiGlobalEnd overlap_score_linear(std::span<const Residue> a,
-                                   std::span<const Residue> b,
-                                   const ScoringScheme& scheme,
-                                   DpCounters* counters = nullptr);
+/// gap ramp; the optimal end is taken as in fitting_score_linear.
+BestCell overlap_score_linear(std::span<const Residue> a,
+                              std::span<const Residue> b,
+                              const ScoringScheme& scheme,
+                              DpCounters* counters = nullptr);
 
 /// Full-matrix fitting alignment. The Alignment's b_begin/b_end give the
 /// matched window of `b`; a_begin/a_end always cover all of `a`.

@@ -7,20 +7,13 @@
 
 namespace flsa {
 
-Alphabet::Alphabet(std::string_view letters, std::string name,
-                   bool case_sensitive)
+Alphabet::Alphabet(std::string_view letters, std::string name)
     : name_(std::move(name)) {
   FLSA_REQUIRE(!letters.empty());
   FLSA_REQUIRE(letters.size() <= 64);
   codes_.fill(-1);
   for (char raw : letters) {
     const auto code = static_cast<std::int16_t>(letters_.size());
-    if (case_sensitive) {
-      FLSA_REQUIRE(codes_[static_cast<unsigned char>(raw)] == -1);
-      codes_[static_cast<unsigned char>(raw)] = code;
-      letters_.push_back(raw);
-      continue;
-    }
     const char upper =
         static_cast<char>(std::toupper(static_cast<unsigned char>(raw)));
     const char lower =

@@ -14,16 +14,14 @@ namespace flsa {
 using Residue = std::uint8_t;
 
 /// An alphabet maps characters to dense residue codes. Lookup is case
-/// insensitive by default (biological convention); pass case_sensitive =
-/// true for text alphabets. Characters outside the alphabet are rejected
-/// by code().
+/// insensitive (biological convention). Characters outside the alphabet
+/// are rejected by code().
 class Alphabet {
  public:
   /// Builds an alphabet from its ordered letter set, e.g. "ACGT".
-  /// Letters must be unique (case-insensitively unless case_sensitive)
-  /// and non-empty; at most 64 letters.
-  explicit Alphabet(std::string_view letters, std::string name,
-                    bool case_sensitive = false);
+  /// Letters must be unique (case-insensitively) and non-empty; at most
+  /// 64 letters.
+  explicit Alphabet(std::string_view letters, std::string name);
 
   /// The four-letter DNA alphabet ACGT.
   static const Alphabet& dna();

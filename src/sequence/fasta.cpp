@@ -30,8 +30,7 @@ std::vector<Sequence> read_fasta(std::istream& is, const Alphabet& alphabet,
   };
 
   std::string line;
-  while (detail::read_bounded_line(is, &line, limits.max_line_bytes,
-                                   "FASTA")) {
+  while (detail::read_bounded_line(is, &line, limits.max_line_bytes)) {
     if (line.empty()) {
       if (in_record) saw_body = true;
       continue;

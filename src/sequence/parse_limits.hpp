@@ -27,11 +27,12 @@ namespace detail {
 
 /// getline with a byte ceiling: reads up to and including '\n', strips a
 /// trailing '\r' (CRLF input), and throws std::invalid_argument once a
-/// line exceeds `max_bytes` — before buffering the rest of it. Returns
+/// line exceeds `max_bytes` (a "FASTA: ..." message) — before buffering
+/// the rest of it. Returns
 /// false at EOF with nothing read (a final line without '\n' is still
 /// returned once).
 inline bool read_bounded_line(std::istream& is, std::string* line,
-                              std::size_t max_bytes, const char* format) {
+                              std::size_t max_bytes) {
   line->clear();
   std::streambuf* buffer = is.rdbuf();
   if (buffer == nullptr) {
@@ -47,9 +48,8 @@ inline bool read_bounded_line(std::istream& is, std::string* line,
     if (c == '\n') break;
     line->push_back(static_cast<char>(c));
     if (line->size() > max_bytes) {
-      throw std::invalid_argument(
-          std::string(format) + ": line exceeds the limit of " +
-          std::to_string(max_bytes) + " bytes");
+      throw std::invalid_argument("FASTA: line exceeds the limit of " +
+                                  std::to_string(max_bytes) + " bytes");
     }
   }
   if (!line->empty() && line->back() == '\r') line->pop_back();

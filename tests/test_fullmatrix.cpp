@@ -110,7 +110,8 @@ TEST(FullMatrix, AlignmentScoreAlwaysMatchesScoreOnlyPass) {
     const ScoringScheme& scheme = ScoringScheme::paper_default();
     const Alignment aln = full_matrix_align(a, b, scheme);
     EXPECT_EQ(aln.score,
-              global_score_linear(a.residues(), b.residues(), scheme));
+              global_score_linear(KernelKind::kScalar, a.residues(),
+                                  b.residues(), scheme));
     EXPECT_EQ(score_alignment(aln, scheme, Alphabet::protein()), aln.score);
   }
 }

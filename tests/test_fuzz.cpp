@@ -55,7 +55,8 @@ TEST_P(FuzzSweep, AllGlobalAlgorithmsAgree) {
       ASSERT_EQ(score_alignment(fm, scheme, *s.alphabet), fm.score);
 
       // Score-only engines.
-      ASSERT_EQ(global_score_linear(a.residues(), b.residues(), scheme),
+      ASSERT_EQ(global_score_linear(KernelKind::kScalar, a.residues(),
+                                    b.residues(), scheme),
                 fm.score);
 
       // Packed FM: identical path.
@@ -118,8 +119,9 @@ TEST_P(FuzzSweep, AllGlobalAlgorithmsAgree) {
       }
 
       // Banded with a full band.
-      ASSERT_EQ(banded_score(a, b, scheme, std::max<std::size_t>(
-                                               1, std::max(m, n))),
+      ASSERT_EQ(banded_align(a, b, scheme,
+                             std::max<std::size_t>(1, std::max(m, n)))
+                    .score,
                 fm.score);
 
       // Co-optimal analysis: same score, count >= 1, first enumerated

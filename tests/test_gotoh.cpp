@@ -53,8 +53,8 @@ TEST(Gotoh, LongGapPreferredOverTwoShortOnes) {
   const Sequence b(Alphabet::dna(), "ACAC");
   const Score s_affine = global_score_affine(a.residues(), b.residues(),
                                              affine);
-  const Score s_linear = global_score_linear(a.residues(), b.residues(),
-                                             linear_equiv);
+  const Score s_linear = global_score_linear(KernelKind::kScalar, a.residues(),
+                                             b.residues(), linear_equiv);
   EXPECT_GT(s_affine, s_linear);
 }
 
@@ -69,7 +69,8 @@ TEST(Gotoh, ZeroOpenReducesToLinear) {
     const Sequence b =
         random_sequence(Alphabet::dna(), 1 + rng.bounded(30), rng);
     EXPECT_EQ(global_score_affine(a.residues(), b.residues(), affine),
-              global_score_linear(a.residues(), b.residues(), linear));
+              global_score_linear(KernelKind::kScalar, a.residues(),
+                                  b.residues(), linear));
   }
 }
 
@@ -104,7 +105,8 @@ TEST(Gotoh, AffineScoreNeverExceedsLinearWithSamePerResidueCost) {
     const Sequence b =
         random_sequence(Alphabet::dna(), 5 + rng.bounded(40), rng);
     EXPECT_GE(global_score_affine(a.residues(), b.residues(), affine),
-              global_score_linear(a.residues(), b.residues(), linear));
+              global_score_linear(KernelKind::kScalar, a.residues(),
+                                  b.residues(), linear));
   }
 }
 
@@ -118,8 +120,8 @@ TEST(Gotoh, SweepBottomRowMatchesFullMatrix) {
   init_global_boundary_affine(scheme, left, false);
 
   std::vector<AffineCell> bottom(b.size() + 1), right(a.size() + 1);
-  sweep_rectangle_affine(a.residues(), b.residues(), scheme, top, left,
-                         bottom, right);
+  sweep_rectangle_affine(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, top, left, bottom, right);
   Matrix2D<AffineCell> dpm;
   fill_full_matrix_affine(a.residues(), b.residues(), scheme, top, left,
                           dpm);
@@ -140,18 +142,18 @@ TEST(Gotoh, CompositionAcrossCachedRowMatchesWholeSweep) {
   std::vector<AffineCell> whole(b.size() + 1), left(a.size() + 1);
   init_global_boundary_affine(scheme, whole, true);
   init_global_boundary_affine(scheme, left, false);
-  sweep_rectangle_affine(a.residues(), b.residues(), scheme, whole, left,
-                         whole, {});
+  sweep_rectangle_affine(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, whole, left, whole, {});
 
   const std::size_t mid = 8;
   std::vector<AffineCell> row(b.size() + 1);
   init_global_boundary_affine(scheme, row, true);
   std::vector<AffineCell> left_top(left.begin(), left.begin() + mid + 1);
-  sweep_rectangle_affine(a.residues().subspan(0, mid), b.residues(), scheme,
-                         row, left_top, row, {});
+  sweep_rectangle_affine(KernelKind::kScalar, a.residues().subspan(0, mid),
+                         b.residues(), scheme, row, left_top, row, {});
   std::vector<AffineCell> left_bottom(left.begin() + mid, left.end());
-  sweep_rectangle_affine(a.residues().subspan(mid), b.residues(), scheme,
-                         row, left_bottom, row, {});
+  sweep_rectangle_affine(KernelKind::kScalar, a.residues().subspan(mid),
+                         b.residues(), scheme, row, left_bottom, row, {});
   for (std::size_t c = 0; c <= b.size(); ++c) {
     EXPECT_EQ(row[c], whole[c]) << "column " << c;
   }

@@ -27,7 +27,7 @@ TEST(Kernel, PaperExampleScore) {
   // DPM of the paper's Figure 1: optimal score 82 at the corner.
   const Sequence a(Alphabet::protein(), "TLDKLLKD");
   const Sequence b(Alphabet::protein(), "TDVLKAD");
-  EXPECT_EQ(global_score_linear(a.residues(), b.residues(),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, a.residues(), b.residues(),
                                 ScoringScheme::paper_default()),
             82);
 }
@@ -35,7 +35,7 @@ TEST(Kernel, PaperExampleScore) {
 TEST(Kernel, PaperExampleIsSymmetric) {
   const Sequence a(Alphabet::protein(), "TLDKLLKD");
   const Sequence b(Alphabet::protein(), "TDVLKAD");
-  EXPECT_EQ(global_score_linear(b.residues(), a.residues(),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, b.residues(), a.residues(),
                                 ScoringScheme::paper_default()),
             82);
 }
@@ -44,12 +44,15 @@ TEST(Kernel, EmptySequences) {
   const ScoringScheme scheme = dna_scheme();
   const Sequence empty(Alphabet::dna(), "");
   const Sequence acgt(Alphabet::dna(), "ACGT");
-  EXPECT_EQ(global_score_linear(empty.residues(), empty.residues(), scheme),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, empty.residues(),
+                                empty.residues(), scheme),
             0);
   // Aligning against empty = all gaps.
-  EXPECT_EQ(global_score_linear(acgt.residues(), empty.residues(), scheme),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, acgt.residues(),
+                                empty.residues(), scheme),
             -24);
-  EXPECT_EQ(global_score_linear(empty.residues(), acgt.residues(), scheme),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, empty.residues(),
+                                acgt.residues(), scheme),
             -24);
 }
 
@@ -57,9 +60,11 @@ TEST(Kernel, SingleResiduePairs) {
   const ScoringScheme scheme = dna_scheme();
   const Sequence a(Alphabet::dna(), "A");
   const Sequence c(Alphabet::dna(), "C");
-  EXPECT_EQ(global_score_linear(a.residues(), a.residues(), scheme), 5);
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, a.residues(), a.residues(),
+                                scheme), 5);
   // max(mismatch -4, two gaps -12) = -4.
-  EXPECT_EQ(global_score_linear(a.residues(), c.residues(), scheme), -4);
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, a.residues(), c.residues(),
+                                scheme), -4);
 }
 
 TEST(Kernel, LastRowMatchesFullMatrixRow) {
@@ -68,8 +73,9 @@ TEST(Kernel, LastRowMatchesFullMatrixRow) {
   const Sequence b = random_sequence(Alphabet::dna(), 53, rng);
   const ScoringScheme scheme = dna_scheme();
 
-  const std::vector<Score> last = last_row_linear(a.residues(),
-                                                  b.residues(), scheme);
+  const std::vector<Score> last = last_row_linear(KernelKind::kScalar,
+                                                  a.residues(), b.residues(),
+                                                  scheme);
 
   std::vector<Score> top(b.size() + 1), left(a.size() + 1);
   init_global_boundary_linear(scheme, top);
@@ -93,8 +99,8 @@ TEST(Kernel, SweepOutputsMatchFullMatrixBoundaries) {
   init_global_boundary_linear(scheme, left);
 
   std::vector<Score> bottom(b.size() + 1), right(a.size() + 1);
-  sweep_rectangle_linear(a.residues(), b.residues(), scheme, top, left,
-                         bottom, right);
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, top, left, bottom, right);
 
   Matrix2D<Score> dpm;
   fill_full_matrix_linear(a.residues(), b.residues(), scheme, top, left,
@@ -117,9 +123,9 @@ TEST(Kernel, SweepInPlaceAliasingTopAsBottom) {
   init_global_boundary_linear(scheme, row);
   init_global_boundary_linear(scheme, left);
   const std::vector<Score> expected =
-      last_row_linear(a.residues(), b.residues(), scheme);
-  sweep_rectangle_linear(a.residues(), b.residues(), scheme, row, left, row,
-                         {});
+      last_row_linear(KernelKind::kScalar, a.residues(), b.residues(), scheme);
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, row, left, row, {});
   EXPECT_EQ(row, expected);
 }
 
@@ -133,22 +139,22 @@ TEST(Kernel, CompositionOfSweepsEqualsOneSweep) {
   const ScoringScheme& scheme = ScoringScheme::paper_default();
 
   const std::vector<Score> whole =
-      last_row_linear(a.residues(), b.residues(), scheme);
+      last_row_linear(KernelKind::kScalar, a.residues(), b.residues(), scheme);
 
   const std::size_t mid = 13;
   std::vector<Score> row(b.size() + 1), left_top(mid + 1),
       left_bottom(a.size() - mid + 1);
   init_global_boundary_linear(scheme, row);
   init_global_boundary_linear(scheme, left_top);
-  sweep_rectangle_linear(a.residues().subspan(0, mid), b.residues(), scheme,
-                         row, left_top, row, {});
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues().subspan(0, mid),
+                         b.residues(), scheme, row, left_top, row, {});
   // Left boundary of the bottom half: continue the gap ramp.
   for (std::size_t r = 0; r < left_bottom.size(); ++r) {
     left_bottom[r] =
         static_cast<Score>(mid + r) * scheme.gap_extend();
   }
-  sweep_rectangle_linear(a.residues().subspan(mid), b.residues(), scheme,
-                         row, left_bottom, row, {});
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues().subspan(mid),
+                         b.residues(), scheme, row, left_bottom, row, {});
   EXPECT_EQ(row, whole);
 }
 
@@ -157,7 +163,8 @@ TEST(Kernel, CountersAccumulateCells) {
   const Sequence a = random_sequence(Alphabet::dna(), 10, rng);
   const Sequence b = random_sequence(Alphabet::dna(), 20, rng);
   DpCounters counters;
-  global_score_linear(a.residues(), b.residues(), dna_scheme(), &counters);
+  global_score_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                      dna_scheme(), &counters);
   EXPECT_EQ(counters.cells_scored, 200u);
   EXPECT_EQ(counters.cells_stored, 0u);
   EXPECT_EQ(counters.total_cells(), 200u);
@@ -171,13 +178,15 @@ TEST(Kernel, RejectsMismatchedBoundaries) {
   init_global_boundary_linear(scheme, top);
   init_global_boundary_linear(scheme, left);
   std::vector<Score> bad_top(2);
-  EXPECT_THROW(sweep_rectangle_linear(a.residues(), b.residues(), scheme,
-                                      bad_top, left, bottom, {}),
+  EXPECT_THROW(sweep_rectangle_linear(KernelKind::kScalar, a.residues(),
+                                      b.residues(), scheme, bad_top, left,
+                                      bottom, {}),
                std::invalid_argument);
   std::vector<Score> corner_mismatch = top;
   corner_mismatch[0] = 99;
-  EXPECT_THROW(sweep_rectangle_linear(a.residues(), b.residues(), scheme,
-                                      corner_mismatch, left, bottom, {}),
+  EXPECT_THROW(sweep_rectangle_linear(KernelKind::kScalar, a.residues(),
+                                      b.residues(), scheme, corner_mismatch,
+                                      left, bottom, {}),
                std::invalid_argument);
 }
 
@@ -186,7 +195,8 @@ TEST(Kernel, RejectsAffineScheme) {
   const SubstitutionMatrix m = scoring::dna();
   const ScoringScheme affine(m, -5, -1);
   EXPECT_THROW(
-      global_score_linear(a.residues(), a.residues(), affine),
+      global_score_linear(KernelKind::kScalar, a.residues(), a.residues(),
+                          affine),
       std::invalid_argument);
 }
 
@@ -203,7 +213,8 @@ TEST_P(KernelShapes, ScoreMatchesFullMatrix) {
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   DpCounters fm_counters;
   const Score fm = full_matrix_score(a, b, scheme, &fm_counters);
-  EXPECT_EQ(global_score_linear(a.residues(), b.residues(), scheme), fm);
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                                scheme), fm);
   EXPECT_EQ(fm_counters.cells_stored, static_cast<std::uint64_t>(m) * n);
 }
 

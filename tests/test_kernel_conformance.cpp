@@ -13,15 +13,21 @@
 //   * fixed-seed fuzzing over random alphabets/matrices/shapes across all
 //     tiers at several score magnitudes, so every tier sees inputs it can
 //     handle natively, inputs that rail mid-tile, and inputs its
-//     whole-call gates must reject.
+//     whole-call gates must reject,
+//   * the one sweep call's local mode, fitting and overlap boundaries and
+//     best-cell output (ties to the first cell in row-major order) agree
+//     with the scalar oracle on every tier, and the oracle with a textbook
+//     DPM.
 //
 // This suite runs under ASan/UBSan and TSan in CI (see ci.yml): the
 // saturating cores read through padded buffers, and the pads are part of
 // the contract being checked here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/workloads.hpp"
@@ -105,7 +111,7 @@ void expect_conformant(const SchemeCase& c, const Sequence& a,
                        const Sequence& b, bool check_scripts) {
   const ScoringScheme& scheme = c.scheme;
   const std::vector<Score> ref_row =
-      last_row_linear(a.residues(), b.residues(), scheme);
+      last_row_linear(KernelKind::kScalar, a.residues(), b.residues(), scheme);
   const Score ref_score = ref_row.empty() ? 0 : ref_row.back();
 
   FastLsaOptions fopts;
@@ -180,6 +186,110 @@ void expect_sweep_conformant(const SchemeCase& c, std::size_t m,
   }
 }
 
+/// The whole DPM of a rectangle by the textbook recurrence, written out
+/// here independently of the library's kernels: the oracle for the scalar
+/// core's local mode and best cell.
+std::vector<std::vector<Score>> textbook_dpm(const Sequence& a,
+                                             const Sequence& b,
+                                             const ScoringScheme& scheme,
+                                             const std::vector<Score>& top,
+                                             const std::vector<Score>& left,
+                                             DpMode mode) {
+  std::vector<std::vector<Score>> dpm(a.size() + 1, top);
+  for (std::size_t r = 1; r <= a.size(); ++r) {
+    dpm[r][0] = left[r];
+    for (std::size_t c = 1; c <= b.size(); ++c) {
+      Score v = dpm[r - 1][c - 1] + scheme.substitution(a[r - 1], b[c - 1]);
+      v = std::max(v, dpm[r - 1][c] + scheme.gap_extend());
+      v = std::max(v, dpm[r][c - 1] + scheme.gap_extend());
+      dpm[r][c] = mode == DpMode::kLocal ? std::max(v, Score{0}) : v;
+    }
+  }
+  return dpm;
+}
+
+/// First maximum of a DPM in row-major order.
+BestCell textbook_best(const std::vector<std::vector<Score>>& dpm) {
+  BestCell best{dpm[0][0], 0, 0};
+  for (std::size_t r = 0; r < dpm.size(); ++r) {
+    for (std::size_t c = 0; c < dpm[r].size(); ++c) {
+      if (dpm[r][c] > best.score) best = BestCell{dpm[r][c], r, c};
+    }
+  }
+  return best;
+}
+
+/// The boundary lines of one alignment mode: local (zeros, floored
+/// recurrence), fitting (free top row, charged left column) and overlap
+/// (charged top row, free left column).
+struct ModeCase {
+  const char* name;
+  DpMode mode;
+  bool free_top;
+  bool free_left;
+};
+
+constexpr ModeCase kModeCases[] = {
+    {"local", DpMode::kLocal, true, true},
+    {"fitting", DpMode::kGlobal, true, false},
+    {"overlap", DpMode::kGlobal, false, true},
+};
+
+/// One sweep call per tier in one mode, with and without the best-cell
+/// output, against the scalar oracle's bottom row, right column and best
+/// cell; the oracle itself is checked against the textbook DPM.
+void expect_mode_conformant(const SchemeCase& c, const ModeCase& mc,
+                            const Sequence& a, const Sequence& b) {
+  const std::size_t m = a.size();
+  const std::size_t n = b.size();
+  std::vector<Score> top(n + 1, 0);
+  std::vector<Score> left(m + 1, 0);
+  if (!mc.free_top) init_global_boundary_linear(c.scheme, top);
+  if (!mc.free_left) init_global_boundary_linear(c.scheme, left);
+
+  std::vector<Score> ref_bottom(n + 1);
+  std::vector<Score> ref_right(m + 1);
+  BestCell ref_best;
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                         c.scheme, top, left, ref_bottom, ref_right, nullptr,
+                         mc.mode, &ref_best);
+  const std::string shape = c.name + "/" + mc.name +
+                            " m=" + std::to_string(m) +
+                            " n=" + std::to_string(n);
+  const auto dpm = textbook_dpm(a, b, c.scheme, top, left, mc.mode);
+  ASSERT_EQ(ref_bottom, dpm[m]) << shape;
+  for (std::size_t r = 0; r <= m; ++r) {
+    ASSERT_EQ(ref_right[r], dpm[r][n]) << shape << " r=" << r;
+  }
+  const BestCell want = textbook_best(dpm);
+  ASSERT_EQ(ref_best.score, want.score) << shape;
+  ASSERT_EQ(ref_best.row, want.row) << shape;
+  ASSERT_EQ(ref_best.col, want.col) << shape;
+
+  for (const KernelKind kind : all_kernels()) {
+    const std::string tag = shape + " kernel=" + to_string(kind);
+    std::vector<Score> bottom(n + 1);
+    std::vector<Score> right(m + 1);
+    BestCell best{-1, m + 1, n + 1};
+    sweep_rectangle_linear(kind, a.residues(), b.residues(), c.scheme, top,
+                           left, bottom, right, nullptr, mc.mode, &best);
+    ASSERT_EQ(bottom, ref_bottom) << tag;
+    ASSERT_EQ(right, ref_right) << tag;
+    ASSERT_EQ(best.score, ref_best.score) << tag;
+    ASSERT_EQ(best.row, ref_best.row) << tag;
+    ASSERT_EQ(best.col, ref_best.col) << tag;
+
+    // Without the best-cell output (fitting and overlap then run on the
+    // vector tiers).
+    std::vector<Score> bottom_only(n + 1);
+    std::vector<Score> right_only(m + 1);
+    sweep_rectangle_linear(kind, a.residues(), b.residues(), c.scheme, top,
+                           left, bottom_only, right_only, nullptr, mc.mode);
+    ASSERT_EQ(bottom_only, ref_bottom) << tag;
+    ASSERT_EQ(right_only, ref_right) << tag;
+  }
+}
+
 // ---------------------------------------------------------------------
 // The registry itself: spellings round-trip, kAuto resolves to an
 // always-exact kernel (never an opt-in narrow tier).
@@ -244,6 +354,50 @@ TEST_P(SchemeConformance, AllKernelsMatchScalarOracle) {
   expect_sweep_conformant(c, 90, 40, 50000, rng);
 }
 
+// Local, fitting and overlap boundaries and the best-cell output of the
+// one sweep call, on every tier, over the same scheme grid and shapes.
+TEST_P(SchemeConformance, ModesAndBestCellMatchScalarOracle) {
+  const SchemeCase c = scheme_grid()[static_cast<std::size_t>(GetParam())];
+  Xoshiro256 rng(0xBE57u + static_cast<std::uint64_t>(GetParam()));
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 0}, {0, 9}, {9, 0}, {1, 1}, {5, 33}, {33, 5}, {17, 17}, {65, 70}};
+  for (const auto& [m, n] : shapes) {
+    const Sequence a = random_sequence(*c.alpha, m, rng);
+    const Sequence b = random_sequence(*c.alpha, n, rng);
+    for (const ModeCase& mc : kModeCases) expect_mode_conformant(c, mc, a, b);
+  }
+  for (const ModeCase& mc : kModeCases) {
+    expect_mode_conformant(c, mc, uniform_seq(*c.alpha, 40),
+                           uniform_seq(*c.alpha, 30));
+  }
+}
+
+// Two equal maxima: GGGG/GGGG ends at (4, 16) and TTTT/TTTT at (16, 4),
+// both scoring 8, and mismatches cost too much to join them. The best
+// cell is the first in row-major order, (4, 16), on every tier, in local
+// mode and in global mode over free (zero) boundaries.
+TEST(SchemeConformance, BestCellTieGoesToFirstCellInRowMajorOrder) {
+  const SchemeCase c = identity_case("tie", "ACGT", 2, -3, -4);
+  const Sequence a(*c.alpha, "GGGGAAAAAAAATTTT");
+  const Sequence b(*c.alpha, "TTTTCCCCCCCCGGGG");
+  const std::vector<Score> top(b.size() + 1, 0);
+  const std::vector<Score> left(a.size() + 1, 0);
+  for (const DpMode mode : {DpMode::kLocal, DpMode::kGlobal}) {
+    const auto dpm = textbook_dpm(a, b, c.scheme, top, left, mode);
+    ASSERT_EQ(dpm[4][16], 8);
+    ASSERT_EQ(dpm[16][4], 8);
+    for (const KernelKind kind : all_kernels()) {
+      std::vector<Score> bottom(b.size() + 1);
+      BestCell best;
+      sweep_rectangle_linear(kind, a.residues(), b.residues(), c.scheme, top,
+                             left, bottom, {}, nullptr, mode, &best);
+      EXPECT_EQ(best.score, 8) << to_string(kind);
+      EXPECT_EQ(best.row, 4u) << to_string(kind);
+      EXPECT_EQ(best.col, 16u) << to_string(kind);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Grid, SchemeConformance,
                          ::testing::Range(0, 7));  // == scheme_grid().size()
 
@@ -272,8 +426,8 @@ TEST(SchemeConformance, TallRectangleCrossesInt16TileExtent) {
 TEST(KernelEscalation, SmallSchemeMatchRunInt16Clean) {
   const SchemeCase c = identity_case("corpus8", "AC", 3, -1, -3);
   const Sequence a = uniform_seq(*c.alpha, 60);
-  const Score want = global_score_linear(a.residues(), a.residues(),
-                                         c.scheme);
+  const Score want = global_score_linear(KernelKind::kScalar, a.residues(),
+                                         a.residues(), c.scheme);
   EXPECT_EQ(want, 180);  // 60 matches at +3
 
   DpCounters c16;
@@ -288,8 +442,8 @@ TEST(KernelEscalation, SmallSchemeMatchRunInt16Clean) {
 TEST(KernelEscalation, Int16RailsOnce) {
   const SchemeCase c = identity_case("corpus16", "AC", 70, -4, -70);
   const Sequence a = uniform_seq(*c.alpha, 600);
-  const Score want = global_score_linear(a.residues(), a.residues(),
-                                         c.scheme);
+  const Score want = global_score_linear(KernelKind::kScalar, a.residues(),
+                                         a.residues(), c.scheme);
   EXPECT_EQ(want, 42000);
 
   DpCounters c16;
@@ -306,7 +460,8 @@ TEST(KernelEscalation, SchemeOutsideInt16EscalatesWholeCall) {
   const SchemeCase c = identity_case("corpus32", "AC", 33000, -5, -8);
   const Sequence a = uniform_seq(*c.alpha, 20);
   const Score want = 20 * 33000;
-  EXPECT_EQ(global_score_linear(a.residues(), a.residues(), c.scheme),
+  EXPECT_EQ(global_score_linear(KernelKind::kScalar, a.residues(), a.residues(),
+                                c.scheme),
             want);
 
   DpCounters c16;
@@ -323,8 +478,8 @@ TEST(KernelEscalation, BenignSchemeNeverEscalates) {
   const SchemeCase c = identity_case("benign16", "ACGT", 5, -4, -2);
   const Sequence a = random_sequence(*c.alpha, 120, rng);
   const Sequence b = random_sequence(*c.alpha, 90, rng);
-  const Score want = global_score_linear(a.residues(), b.residues(),
-                                         c.scheme);
+  const Score want = global_score_linear(KernelKind::kScalar, a.residues(),
+                                         b.residues(), c.scheme);
   DpCounters counters;
   EXPECT_EQ(global_score_linear(KernelKind::kInt16, a.residues(),
                                 b.residues(), c.scheme, &counters),

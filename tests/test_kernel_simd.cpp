@@ -95,8 +95,8 @@ TEST_P(SimdLinear, SweepMatchesScalarBitForBit) {
     std::vector<Score> bottom_s(n + 1), right_s(m + 1);
     std::vector<Score> bottom_v(n + 1), right_v(m + 1);
     DpCounters counters_s, counters_v;
-    sweep_rectangle_linear(a.residues(), b.residues(), scheme, top, left,
-                           bottom_s, right_s, &counters_s);
+    sweep_rectangle_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                           scheme, top, left, bottom_s, right_s, &counters_s);
     sweep_rectangle_linear_simd(a.residues(), b.residues(), scheme, top,
                                 left, bottom_v, right_v, &counters_v);
     EXPECT_EQ(bottom_v, bottom_s) << name << " " << m << "x" << n;
@@ -117,8 +117,8 @@ TEST_P(SimdLinear, InPlaceAliasedSweepMatchesScalar) {
   init_global_boundary_linear(scheme, row_s);
   init_global_boundary_linear(scheme, left);
   row_v = row_s;
-  sweep_rectangle_linear(a.residues(), b.residues(), scheme, row_s, left,
-                         row_s, {});
+  sweep_rectangle_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, row_s, left, row_s, {});
   sweep_rectangle_linear_simd(a.residues(), b.residues(), scheme, row_v,
                               left, row_v, {});
   EXPECT_EQ(row_v, row_s);
@@ -144,8 +144,8 @@ TEST_P(SimdAffine, SweepMatchesScalarBitForBit) {
     std::vector<AffineCell> bottom_s(n + 1), right_s(m + 1);
     std::vector<AffineCell> bottom_v(n + 1), right_v(m + 1);
     DpCounters counters_s, counters_v;
-    sweep_rectangle_affine(a.residues(), b.residues(), scheme, top, left,
-                           bottom_s, right_s, &counters_s);
+    sweep_rectangle_affine(KernelKind::kScalar, a.residues(), b.residues(),
+                           scheme, top, left, bottom_s, right_s, &counters_s);
     sweep_rectangle_affine_simd(a.residues(), b.residues(), scheme, top,
                                 left, bottom_v, right_v, &counters_v);
     EXPECT_EQ(bottom_v, bottom_s) << name << " " << m << "x" << n;
@@ -166,8 +166,8 @@ TEST_P(SimdAffine, GlobalBoundarySweepMatchesScalar) {
   left[0] = top[0];
 
   std::vector<AffineCell> row_s = top, row_v = top;
-  sweep_rectangle_affine(a.residues(), b.residues(), scheme, row_s, left,
-                         row_s, {});
+  sweep_rectangle_affine(KernelKind::kScalar, a.residues(), b.residues(),
+                         scheme, row_s, left, row_s, {});
   sweep_rectangle_affine_simd(a.residues(), b.residues(), scheme, row_v,
                               left, row_v, {});
   EXPECT_EQ(row_v, row_s);
@@ -182,7 +182,8 @@ TEST(SimdKernel, DispatchOverloadsAgreeWithScalar) {
   const Sequence b = random_sequence(Alphabet::protein(), 97, rng);
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   const Score expect =
-      global_score_linear(a.residues(), b.residues(), scheme);
+      global_score_linear(KernelKind::kScalar, a.residues(), b.residues(),
+                          scheme);
   for (const KernelKind kind :
        {KernelKind::kAuto, KernelKind::kScalar, KernelKind::kSimd}) {
     EXPECT_EQ(global_score_linear(kind, a.residues(), b.residues(), scheme),

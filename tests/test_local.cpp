@@ -34,7 +34,7 @@ TEST(Local, ScorePassAgreesWithFullMatrix) {
         random_sequence(Alphabet::dna(), 1 + rng.bounded(60), rng);
     const Sequence b =
         random_sequence(Alphabet::dna(), 1 + rng.bounded(60), rng);
-    const LocalScoreResult pass =
+    const BestCell pass =
         local_score_linear(a.residues(), b.residues(), scheme);
     const Alignment aln = local_align_full_matrix(a, b, scheme);
     EXPECT_EQ(pass.score, aln.score);

@@ -129,11 +129,31 @@ TEST(Alignment, ScoreAlignmentRejectsDoubleGapColumn) {
                std::invalid_argument);
 }
 
-TEST(Alignment, FromPathRequiresCompletePath) {
+TEST(Alignment, FromPathMaterialisesTheRegionItCrosses) {
+  // A path that stops short of the origin (a local or semi-global
+  // traceback) yields the alignment of the region [front, end) only.
+  const Sequence a(Alphabet::dna(), "GACT");
+  const Sequence b(Alphabet::dna(), "TACG");
+  const SubstitutionMatrix m = scoring::dna(5, -4);
+  const ScoringScheme scheme(m, -2);
+  Path p(Cell{3, 3});
+  p.push_traceback(Move::kDiag);
+  p.push_traceback(Move::kDiag);
+  const Alignment aln = alignment_from_path(a, b, p, scheme);
+  EXPECT_EQ(aln.gapped_a, "AC");
+  EXPECT_EQ(aln.gapped_b, "AC");
+  EXPECT_EQ(aln.score, 10);
+  EXPECT_EQ(aln.a_begin, 1u);
+  EXPECT_EQ(aln.a_end, 3u);
+  EXPECT_EQ(aln.b_begin, 1u);
+  EXPECT_EQ(aln.b_end, 3u);
+}
+
+TEST(Alignment, FromPathRejectsPathOutsideSequences) {
   const Sequence a(Alphabet::dna(), "AC");
   const Sequence b(Alphabet::dna(), "AC");
-  Path p(Cell{2, 2});
-  p.push_traceback(Move::kDiag);  // incomplete
+  Path p(Cell{3, 2});  // ends below the last row of a
+  p.push_traceback(Move::kDiag);
   const SubstitutionMatrix m = scoring::dna();
   const ScoringScheme scheme(m, -2);
   EXPECT_THROW(alignment_from_path(a, b, p, scheme), std::invalid_argument);

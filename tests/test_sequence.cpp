@@ -285,13 +285,5 @@ TEST(Generate, BiasedSequenceValidatesWeights) {
                std::invalid_argument);
 }
 
-TEST(Alphabet, CaseSensitiveMode) {
-  const Alphabet ab("aA", "case", /*case_sensitive=*/true);
-  EXPECT_EQ(ab.size(), 2u);
-  EXPECT_EQ(ab.code('a'), 0);
-  EXPECT_EQ(ab.code('A'), 1);
-  EXPECT_FALSE(ab.contains('b'));
-}
-
 }  // namespace
 }  // namespace flsa
