@@ -15,14 +15,17 @@
 
 namespace flsa {
 
-/// Band-constrained global alignment with linear gaps. The band contains
-/// cells (i, j) with |(j - i) - (n - m)*i/m ... | simplified to the standard
-/// static band: j in [i + lo, i + hi] where lo = -w and hi = (n - m) + w,
-/// which always contains both DPM corners.
+/// Band-constrained global alignment with linear gaps. Row i of the DPM
+/// covers the columns j of the static band j - i in [-w, (n - m) + w]
+/// clipped to [0, n] (w = half_width); the band contains the origin and
+/// the corner (m, n) only when |a| - |b| <= w. The fill stores a 2-bit
+/// move per band cell (dp/packed_traceback.hpp) and the path is traced
+/// from (m, n). Adds the band cells outside row 0 and column 0 to
+/// counters->cells_stored and the traceback steps to
+/// counters->traceback_steps.
 ///
-/// half_width must be >= 1. Throws std::invalid_argument if the band is so
-/// narrow that no monotone path connects the corners (cannot happen for
-/// half_width >= 1).
+/// Throws std::invalid_argument when half_width is 0, when
+/// |a| - |b| > half_width, or for an affine scheme.
 Alignment banded_align(const Sequence& a, const Sequence& b,
                        const ScoringScheme& scheme, std::size_t half_width,
                        DpCounters* counters = nullptr);

@@ -4,7 +4,9 @@
 // (dp/fullmatrix.cpp, dp/gotoh.cpp) all compute their cells through these
 // functions, so a score pass and the stored fill of the same rectangle
 // cannot drift apart. Internal to dp/; the vector cores keep their own
-// lane-wise forms of the same recurrence.
+// lane-wise forms of the same recurrence, and the 2-bit move fill
+// (dp/packed_traceback.cpp) its own linear form, which also yields the
+// winning move.
 #pragma once
 
 #include <algorithm>

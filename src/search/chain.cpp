@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "dp/banded.hpp"
+#include "dp/packed_traceback.hpp"
 #include "support/assert.hpp"
 
 namespace flsa {
@@ -198,111 +199,22 @@ std::vector<Chain> chain_anchors(std::span<const Anchor> anchors,
 
 namespace {
 
-/// A corner-anchored gapped extension: the best-scoring alignment of a
-/// prefix of the query flank against a prefix of the subject flank, with
-/// gaps charged from the corner and both ends free. The gapped strings
-/// are in traceback order (from the far end towards the corner) — the
-/// caller reverses them for a rightward flank.
-struct FlankExtension {
-  Score score = 0;
-  std::size_t q_used = 0;  ///< query residues consumed
-  std::size_t s_used = 0;  ///< subject residues consumed
-  std::string gapped_q, gapped_s;
-};
-
-/// Gapped X-drop extension over a flank rectangle. `q_at(i)` / `s_at(j)`
-/// map flank offsets to residues (reversed for a leftward flank). Rows
-/// stop once a whole row falls more than `x_drop` below the best cell —
-/// the gapped analogue of the ungapped BLAST-style cutoff. The traceback
-/// keeps 2 bits a cell, 4 cells a byte, each row starting on a byte: it
-/// spans the whole flank rectangle, and the flanks of every filled chain
-/// of a search add up.
-template <typename QAt, typename SAt>
-FlankExtension extend_flank(std::size_t nq, std::size_t ns, QAt q_at,
-                            SAt s_at, const ScoringScheme& scheme,
-                            const Alphabet& alphabet, Score x_drop) {
-  FlankExtension out;
-  if (nq == 0 || ns == 0) return out;
-  const SubstitutionMatrix& sub = scheme.matrix();
-  const Score gap = scheme.gap_extend();
-
-  enum : unsigned { kDiag = 1, kUp = 2, kLeft = 3 };
-  const std::size_t stride = ns / 4 + 1;  // bytes per row of ns + 1 cells
-  std::vector<std::uint8_t> trace((nq + 1) * stride);
-  const auto dir_at = [&](std::size_t i, std::size_t j) {
-    return (static_cast<unsigned>(trace[i * stride + j / 4]) >> (j % 4 * 2)) &
-           3u;
-  };
-  std::vector<Score> prev(ns + 1), cur(ns + 1);
-  for (std::size_t j = 1; j <= ns; ++j) {
-    prev[j] = prev[j - 1] + gap;
-    trace[j / 4] =
-        static_cast<std::uint8_t>(trace[j / 4] | kLeft << (j % 4 * 2));
+/// Gapped X-drop extension from the corner where a chain ends: the
+/// best-scoring alignment of a prefix of the flank `q` against a prefix of
+/// the flank `s`, both read outward from the corner, with gaps charged
+/// from the corner and both far ends free. Rows stop once a whole row
+/// falls more than `x_drop` below the best cell — the gapped analogue of
+/// the ungapped BLAST-style cutoff.
+Alignment extend_flank(const Sequence& q, const Sequence& s,
+                       const ScoringScheme& scheme, Score x_drop) {
+  PackedMoveFill fill(q.residues(), s.residues(), scheme);
+  while (fill.rows_filled() < q.size()) {
+    const Score row_max = fill.fill_row();
+    if (row_max < fill.best().score - x_drop) break;
   }
-  Score best = 0;
-  std::size_t best_i = 0, best_j = 0;
-  for (std::size_t i = 1; i <= nq; ++i) {
-    std::uint8_t* row = trace.data() + i * stride;
-    cur[0] = prev[0] + gap;
-    unsigned packed = kUp;  // directions of the cells j & ~3 .. j
-    Score row_best = cur[0];
-    for (std::size_t j = 1; j <= ns; ++j) {
-      const Score diag = prev[j - 1] + sub.at(q_at(i - 1), s_at(j - 1));
-      const Score up = prev[j] + gap;
-      const Score left = cur[j - 1] + gap;
-      Score value = diag;
-      unsigned dir = kDiag;
-      if (up > value) {
-        value = up;
-        dir = kUp;
-      }
-      if (left > value) {
-        value = left;
-        dir = kLeft;
-      }
-      cur[j] = value;
-      packed |= dir << (j % 4 * 2);
-      if (j % 4 == 3) {
-        row[j / 4] = static_cast<std::uint8_t>(packed);
-        packed = 0;
-      }
-      if (value > row_best) row_best = value;
-      if (value > best) {
-        best = value;
-        best_i = i;
-        best_j = j;
-      }
-    }
-    if (ns % 4 != 3) row[ns / 4] = static_cast<std::uint8_t>(packed);
-    if (row_best < best - x_drop) break;  // gapped X-drop: give up the row
-    std::swap(prev, cur);
-  }
-
-  out.score = best;
-  out.q_used = best_i;
-  out.s_used = best_j;
-  std::size_t i = best_i, j = best_j;
-  while (i != 0 || j != 0) {
-    switch (dir_at(i, j)) {
-      case kDiag:
-        out.gapped_q += alphabet.letter(q_at(i - 1));
-        out.gapped_s += alphabet.letter(s_at(j - 1));
-        --i;
-        --j;
-        break;
-      case kUp:
-        out.gapped_q += alphabet.letter(q_at(i - 1));
-        out.gapped_s += '-';
-        --i;
-        break;
-      default:
-        out.gapped_q += '-';
-        out.gapped_s += alphabet.letter(s_at(j - 1));
-        --j;
-        break;
-    }
-  }
-  return out;
+  Path path(Cell{fill.best().row, fill.best().col});
+  fill.traceback(path);
+  return alignment_from_path(q, s, path, scheme);
 }
 
 /// Composes the final gapped alignment of one chain: exact anchor columns,
@@ -341,32 +253,31 @@ std::optional<Alignment> fill_chain(const Sequence& query,
   // Gapped X-drop extension outward from the chain's ends. The flank
   // rectangle is banded by construction: the subject side is capped at
   // the query side plus band_pad, the indel tolerance everywhere else in
-  // the pipeline.
+  // the pipeline. The left flanks are reversed so both read outward.
   const std::size_t q_front = parts.front().q_begin;
   const std::size_t s_front = parts.front().s_begin;
-  const FlankExtension left = extend_flank(
-      q_front, std::min(s_front, q_front + params.band_pad),
-      [&](std::size_t i) { return query[q_front - 1 - i]; },
-      [&](std::size_t j) { return subject[s_front - 1 - j]; }, scheme,
-      alphabet, params.x_drop);
+  const std::size_t s_left = std::min(s_front, q_front + params.band_pad);
+  Alignment left = extend_flank(
+      query.subsequence(0, q_front).reversed(),
+      subject.materialize(s_front - s_left, s_left).reversed(), scheme,
+      params.x_drop);
+  // The left flank was aligned right-to-left; the output reads forward.
+  std::reverse(left.gapped_a.begin(), left.gapped_a.end());
+  std::reverse(left.gapped_b.begin(), left.gapped_b.end());
   const std::size_t q_back = parts.back().q_end;
   const std::size_t s_back = parts.back().s_end;
   const std::size_t q_tail = query.size() - q_back;
-  FlankExtension right = extend_flank(
-      q_tail, std::min(subject.size() - s_back, q_tail + params.band_pad),
-      [&](std::size_t i) { return query[q_back + i]; },
-      [&](std::size_t j) { return subject[s_back + j]; }, scheme, alphabet,
-      params.x_drop);
-  // The right flank's traceback runs far-end-to-corner; the output reads
-  // corner-outward. (The left flank's traceback order is already right.)
-  std::reverse(right.gapped_q.begin(), right.gapped_q.end());
-  std::reverse(right.gapped_s.begin(), right.gapped_s.end());
+  const Alignment right = extend_flank(
+      query.subsequence(q_back, q_tail),
+      subject.materialize(
+          s_back, std::min(subject.size() - s_back, q_tail + params.band_pad)),
+      scheme, params.x_drop);
 
   Alignment out;
-  out.a_begin = q_front - left.q_used;
-  out.a_end = q_back + right.q_used;
-  out.b_begin = s_front - left.s_used;
-  out.b_end = s_back + right.s_used;
+  out.a_begin = q_front - left.a_end;
+  out.a_end = q_back + right.a_end;
+  out.b_begin = s_front - left.b_end;
+  out.b_end = s_back + right.b_end;
 
   Score total = 0;
   const auto emit_diagonal = [&](std::size_t qb, std::size_t qe,
@@ -409,8 +320,8 @@ std::optional<Alignment> fill_chain(const Sequence& query,
     total += gap.score;
   };
 
-  out.gapped_a += left.gapped_q;
-  out.gapped_b += left.gapped_s;
+  out.gapped_a += left.gapped_a;
+  out.gapped_b += left.gapped_b;
   total += left.score;
   for (std::size_t p = 0; p < parts.size(); ++p) {
     if (p > 0) {
@@ -419,8 +330,8 @@ std::optional<Alignment> fill_chain(const Sequence& query,
     }
     emit_diagonal(parts[p].q_begin, parts[p].q_end, parts[p].s_begin);
   }
-  out.gapped_a += right.gapped_q;
-  out.gapped_b += right.gapped_s;
+  out.gapped_a += right.gapped_a;
+  out.gapped_b += right.gapped_b;
   total += right.score;
 
   out.score = total;

@@ -18,11 +18,12 @@
 //      not"). Anchors may overlap by up to max_overlap residues; the
 //      overlap is trimmed away at fill time.
 //   3. chained_search — for each chain, a gapped alignment is composed
-//      from exact anchor columns, banded linear-space DP
-//      (dp/banded) restricted to the inter-anchor gaps, and ungapped
-//      X-drop extension past the chain's ends. DP work is proportional
-//      to the divergence between query and reference, not to their
-//      product.
+//      from exact anchor columns, banded global DP (dp/banded, which
+//      stores a 2-bit move per band cell) restricted to the inter-anchor
+//      gaps, and gapped X-drop extension past the chain's ends (whole
+//      rows of the same 2-bit move fill, stopped once a row falls more
+//      than x_drop below the best cell). DP work is proportional to the
+//      divergence between query and reference, not to their product.
 #pragma once
 
 #include <cstddef>

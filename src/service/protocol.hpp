@@ -486,8 +486,9 @@ Response decode_response(std::string_view payload);
 /// every admission/bench call site go through this.
 std::uint64_t estimated_cells(std::uint64_t m, std::uint64_t n);
 
-/// Cells of the banded matrix banded_align allocates for an m x n
-/// problem at half-width w: (m+1) * (|n-m| + 2w + 1), saturating.
+/// Cells of the band banded_align fills (a 2-bit move each) for an
+/// m x n problem at half-width w, bounded by (m+1) * (|n-m| + 2w + 1),
+/// saturating.
 std::uint64_t estimated_banded_cells(std::uint64_t m, std::uint64_t n,
                                      std::uint32_t half_width);
 

@@ -1197,15 +1197,6 @@ void AlignmentServer::execute_align_ref(Aligner& aligner, const Job& job,
       throw std::invalid_argument(
           "banded ALIGN_REF requires linear gap penalties (gap_open = 0)");
     }
-    // Band geometry: j - i spans [-w, (n - m) + w]; when m - n > 2w the
-    // range is empty and no monotone path reaches the corner.
-    if (a.size() > b.size() &&
-        a.size() - b.size() > 2 * std::uint64_t{request.band}) {
-      throw std::invalid_argument(
-          "band half-width " + std::to_string(request.band) +
-          " cannot cover a length difference of " +
-          std::to_string(a.size() - b.size()));
-    }
     const ScoringScheme scheme(matrix_for(request.matrix), request.gap_extend);
     alignment = banded_align(a, b, scheme, request.band, &counters);
   } else {

@@ -1,7 +1,9 @@
 // Tests for the banded global aligner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "dp/banded.hpp"
 #include "dp/fullmatrix.hpp"
@@ -77,12 +79,42 @@ TEST(Banded, EqualLengthIdenticalSequencesWithMinimalBand) {
 TEST(Banded, LengthMismatchStillReachesCorner) {
   const Sequence a(Alphabet::dna(), "ACGT");
   const Sequence b(Alphabet::dna(), "ACGTACGTACGT");
-  // Band geometry always contains both corners, whatever the half-width.
+  // With |a| <= |b| the band contains both corners, whatever the
+  // half-width.
   const Alignment aln = banded_align(a, b, scheme(), 1);
   EXPECT_EQ(score_alignment(aln, scheme(), Alphabet::dna()), aln.score);
   std::size_t b_res = 0;
   for (char c : aln.gapped_b) b_res += (c != '-');
   EXPECT_EQ(b_res, b.size());
+}
+
+TEST(Banded, RejectsLengthDifferenceBeyondTheBand) {
+  // The band j - i in [-w, (n - m) + w] holds the corner (m, n) only when
+  // m - n <= w; past that there is no path to align, not a poor one.
+  Xoshiro256 rng(66);
+  const Sequence a30 = random_sequence(Alphabet::dna(), 30, rng);
+  const Sequence b20 = random_sequence(Alphabet::dna(), 20, rng);
+  EXPECT_THROW(banded_align(a30, b20, scheme(), 6), std::invalid_argument);
+  EXPECT_THROW(banded_align(a30, b20, scheme(), 8), std::invalid_argument);
+  for (const std::size_t w : {1u, 3u, 6u, 8u}) {
+    const Sequence b = random_sequence(Alphabet::dna(), 25, rng);
+    for (const std::size_t over : {w + 1, 2 * w}) {
+      if (over == w) continue;  // w = 1: 2w is w + 1, already covered
+      const Sequence a = random_sequence(Alphabet::dna(), 25 + over, rng);
+      EXPECT_THROW(banded_align(a, b, scheme(), w), std::invalid_argument)
+          << "w=" << w << " |a|-|b|=" << over;
+    }
+    // At the limit the band still reaches the corner.
+    const Sequence a = random_sequence(Alphabet::dna(), 25 + w, rng);
+    const Alignment aln = banded_align(a, b, scheme(), w);
+    EXPECT_EQ(score_alignment(aln, scheme(), Alphabet::dna()), aln.score);
+    const auto residues = [](const std::string& row) {
+      return row.size() -
+             static_cast<std::size_t>(std::count(row.begin(), row.end(), '-'));
+    };
+    EXPECT_EQ(residues(aln.gapped_a), a.size());
+    EXPECT_EQ(residues(aln.gapped_b), b.size());
+  }
 }
 
 TEST(Banded, RejectsBadParameters) {

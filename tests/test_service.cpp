@@ -1407,6 +1407,25 @@ TEST(Service, BandedAlignRefRejectsBadGeometryAndAffineGaps) {
   ASSERT_NE(geometry_error, nullptr);
   EXPECT_EQ(geometry_error->code, ErrorCode::kBadRequest);
 
+  // The band reaches the corner (|a|, |b|) only when |a| - |b| <= band:
+  // one residue more is refused, not answered with an unreachable score.
+  AlignRefRequest just_over = narrow;
+  just_over.b = letters.substr(0, letters.size() - 6);
+  const Response over = client.call(just_over);
+  const auto* over_error = std::get_if<ErrorResponse>(&over);
+  ASSERT_NE(over_error, nullptr);
+  EXPECT_EQ(over_error->code, ErrorCode::kBadRequest);
+  AlignRefRequest at_limit = narrow;
+  at_limit.b = letters.substr(0, letters.size() - 5);
+  const Response fits = client.call(at_limit);
+  const auto* fits_part = std::get_if<AlignPartResponse>(&fits);
+  ASSERT_NE(fits_part, nullptr);
+  EXPECT_EQ(fits_part->score,
+            banded_align(Sequence(Alphabet::dna(), letters),
+                         Sequence(Alphabet::dna(), at_limit.b),
+                         ScoringScheme(scoring::dna(), narrow.gap_extend), 5)
+                .score);
+
   // Affine gaps under a band are not supported: typed refusal.
   AlignRefRequest affine;
   affine.ref_a = ok->ref_id;
