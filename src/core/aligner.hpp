@@ -63,8 +63,8 @@ Alignment align(const Sequence& a, const Sequence& b,
 /// first (warm-up) call, steady-state align() calls perform no engine
 /// heap allocations (only the returned Alignment allocates).
 ///
-/// Not thread-safe: use one Aligner per aligning thread (align_batch does
-/// exactly that). Movable, not copyable.
+/// Not thread-safe: use one Aligner per aligning thread (each service
+/// worker does exactly that). Movable, not copyable.
 class Aligner {
  public:
   explicit Aligner(AlignOptions options = {});

@@ -317,7 +317,7 @@ class FastLsaEngine {
     // Trace-only scope (metrics suppressed): solve() nests within itself,
     // so per-invocation seconds would double-count; the nested trace
     // spans, by contrast, render as the recursion's flame graph.
-    FLSA_OBS_PHASE(obs_solve, obs::Phase::kRecursion, obs::kPhaseLane,
+    FLSA_OBS_PHASE(obs_solve, obs::Phase::kRecursion,
                    static_cast<std::int64_t>(depth),
                    /*record_metrics=*/false);
     FLSA_OBS_OBSERVE("fastlsa.recursion.depth", depth);

@@ -1,11 +1,9 @@
 #include "dp/cooptimal.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "dp/kernel.hpp"
 #include "dp/matrix.hpp"
-#include "dp/path.hpp"
 #include "support/assert.hpp"
 
 namespace flsa {
@@ -119,69 +117,6 @@ CoOptimalAnalysis count_optimal_paths(const Sequence& a, const Sequence& b,
   }
   analysis.path_count = count(m, n);
   return analysis;
-}
-
-std::vector<Alignment> enumerate_optimal_alignments(
-    const Sequence& a, const Sequence& b, const ScoringScheme& scheme,
-    std::size_t limit, DpCounters* counters) {
-  const std::size_t m = a.size();
-  const std::size_t n = b.size();
-  DirectionSetMatrix dirs(m + 1, n + 1);
-  fill_direction_sets(a, b, scheme, dirs, counters);
-
-  std::vector<Alignment> results;
-  if (limit == 0) return results;
-
-  // Iterative backward DFS from (m, n); directions tried diagonal, up,
-  // left, matching the single-path traceback so results[0] equals
-  // full_matrix_align's alignment.
-  struct Frame {
-    std::size_t r, c;
-    unsigned next = 0;  // 0 = diag, 1 = up, 2 = left, 3 = exhausted
-  };
-  std::vector<Frame> stack{{m, n, 0}};
-  std::vector<Move> moves;  // traceback order, parallel to stack depth - 1
-
-  while (!stack.empty() && results.size() < limit) {
-    Frame& frame = stack.back();
-    if (frame.r == 0 && frame.c == 0) {
-      // Complete path: materialize.
-      Path path(Cell{m, n});
-      for (const Move mv : moves) path.push_traceback(mv);
-      results.push_back(alignment_from_path(a, b, path, scheme));
-      stack.pop_back();
-      if (!moves.empty()) moves.pop_back();
-      continue;
-    }
-    bool descended = false;
-    while (frame.next < 3) {
-      const unsigned dir = frame.next++;
-      if (dir == 0 && frame.r > 0 && frame.c > 0 &&
-          dirs.diag(frame.r, frame.c)) {
-        moves.push_back(Move::kDiag);
-        stack.push_back({frame.r - 1, frame.c - 1, 0});
-        descended = true;
-        break;
-      }
-      if (dir == 1 && frame.r > 0 && dirs.up(frame.r, frame.c)) {
-        moves.push_back(Move::kUp);
-        stack.push_back({frame.r - 1, frame.c, 0});
-        descended = true;
-        break;
-      }
-      if (dir == 2 && frame.c > 0 && dirs.left(frame.r, frame.c)) {
-        moves.push_back(Move::kLeft);
-        stack.push_back({frame.r, frame.c - 1, 0});
-        descended = true;
-        break;
-      }
-    }
-    if (!descended) {
-      stack.pop_back();
-      if (!moves.empty()) moves.pop_back();
-    }
-  }
-  return results;
 }
 
 }  // namespace flsa

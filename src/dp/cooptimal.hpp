@@ -4,14 +4,13 @@
 // record the backward path. Each bit corresponds to one of the
 // directions, diagonal, up or left. This will record multiple optimal
 // paths." — this module implements that 3-bit encoding and uses it to
-// count and enumerate *all* co-optimal alignments. The paper's own
-// example (TLDKLLKD x TDVLKAD) has exactly two.
+// count *all* co-optimal alignments. Under MDM78 the paper's own
+// example (TLDKLLKD x TDVLKAD) has a single one.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "dp/alignment.hpp"
 #include "dp/counters.hpp"
 #include "scoring/scheme.hpp"
 #include "sequence/sequence.hpp"
@@ -53,12 +52,5 @@ struct CoOptimalAnalysis {
 CoOptimalAnalysis count_optimal_paths(const Sequence& a, const Sequence& b,
                                       const ScoringScheme& scheme,
                                       DpCounters* counters = nullptr);
-
-/// Enumerates up to `limit` co-optimal alignments in deterministic
-/// (diagonal-first) order; the first returned alignment equals
-/// full_matrix_align's. Every returned alignment scores `score`.
-std::vector<Alignment> enumerate_optimal_alignments(
-    const Sequence& a, const Sequence& b, const ScoringScheme& scheme,
-    std::size_t limit, DpCounters* counters = nullptr);
 
 }  // namespace flsa

@@ -28,12 +28,9 @@
 #include "dp/path.hpp"
 #include "hirschberg/hirschberg.hpp"
 #include "hirschberg/hirschberg_affine.hpp"
-#include "msa/center_star.hpp"
-#include "msa/progressive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "parallel/batch.hpp"
 #include "parallel/parallel_fastlsa.hpp"
 #include "search/chain.hpp"
 #include "search/kmer_index.hpp"

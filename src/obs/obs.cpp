@@ -12,7 +12,6 @@ const char* to_string(Phase phase) {
     case Phase::kBaseCase: return "base-case";
     case Phase::kRecursion: return "recursion";
     case Phase::kHirschberg: return "hirschberg";
-    case Phase::kBatchJob: return "batch-job";
   }
   return "?";
 }
@@ -42,16 +41,15 @@ const PhaseInstruments& instruments(Phase phase) {
   static PhaseInstruments table[] = {
       PhaseInstruments(Phase::kAlign),      PhaseInstruments(Phase::kFillGrid),
       PhaseInstruments(Phase::kBaseCase),   PhaseInstruments(Phase::kRecursion),
-      PhaseInstruments(Phase::kHirschberg), PhaseInstruments(Phase::kBatchJob),
+      PhaseInstruments(Phase::kHirschberg),
   };
   return table[static_cast<std::size_t>(phase)];
 }
 
 }  // namespace
 
-PhaseTimer::PhaseTimer(Phase phase, std::uint32_t lane, std::int64_t depth,
-                       bool record_metrics)
-    : phase_(phase), lane_(lane), depth_(depth),
+PhaseTimer::PhaseTimer(Phase phase, std::int64_t depth, bool record_metrics)
+    : phase_(phase), depth_(depth),
       record_metrics_(record_metrics && enabled()), trace_(active_trace()) {
   if (record_metrics_ || trace_ != nullptr) {
     start_ = TraceRecorder::now();
@@ -78,7 +76,7 @@ PhaseTimer::~PhaseTimer() {
     TraceSpan span;
     span.name = to_string(phase_);
     span.category = "phase";
-    span.tid = lane_;
+    span.tid = kPhaseLane;
     span.cells = cells_ > 0 ? static_cast<std::int64_t>(cells_) : -1;
     span.depth = depth_;
     trace_->record(span, start_, end);

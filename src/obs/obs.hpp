@@ -36,7 +36,6 @@ enum class Phase : std::uint8_t {
   kBaseCase,    ///< one stored full-matrix Base Case solve
   kRecursion,   ///< one solve() sub-problem (spans nest by depth)
   kHirschberg,  ///< one Hirschberg divide-and-conquer alignment
-  kBatchJob,    ///< one job of align_batch (lane = batch worker)
 };
 
 const char* to_string(Phase phase);
@@ -48,8 +47,8 @@ const char* to_string(Phase phase);
 /// trace spans, which nest meaningfully.
 class PhaseTimer {
  public:
-  explicit PhaseTimer(Phase phase, std::uint32_t lane = kPhaseLane,
-                      std::int64_t depth = -1, bool record_metrics = true);
+  explicit PhaseTimer(Phase phase, std::int64_t depth = -1,
+                      bool record_metrics = true);
   ~PhaseTimer();
 
   PhaseTimer(const PhaseTimer&) = delete;
@@ -61,7 +60,6 @@ class PhaseTimer {
 
  private:
   Phase phase_;
-  std::uint32_t lane_;
   std::int64_t depth_;
   std::uint64_t cells_ = 0;
   bool record_metrics_;

@@ -42,8 +42,8 @@ class ThreadPool {
   ///
   /// Re-entrant and concurrent calls degrade gracefully instead of
   /// failing: when the calling thread is itself a pool worker (of this or
-  /// any pool — e.g. a parallel engine invoked from inside an align_batch
-  /// job), or when another thread's parallel_run is already in flight on
+  /// any pool — e.g. a parallel engine invoked from inside another pool's
+  /// fn), or when another thread's parallel_run is already in flight on
   /// this pool, fn(0) .. fn(size()-1) run serially on the calling thread.
   /// That preserves the collective-call contract (each worker slot runs
   /// exactly once, per-slot scratch is never shared) while avoiding both

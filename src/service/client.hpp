@@ -1,6 +1,6 @@
 // Blocking client for the alignment service. One Client owns one TCP
 // connection; it is not thread-safe (use one per thread — the load
-// generator and align_batch follow the same rule). Requests may be
+// generator follows the same rule). Requests may be
 // pipelined with send()/receive(); call() is the closed-loop convenience
 // that assigns request ids, and call_with_retry() layers exponential
 // backoff with decorrelated jitter over call() for transient failures

@@ -121,15 +121,10 @@ TEST_P(FuzzSweep, AllGlobalAlgorithmsAgree) {
         }
       }
 
-      // Co-optimal analysis: same score, count >= 1, first enumerated
-      // path identical to the single-path traceback.
+      // Co-optimal analysis: same score, count >= 1.
       const CoOptimalAnalysis co = count_optimal_paths(a, b, scheme);
       ASSERT_EQ(co.score, fm.score);
       ASSERT_GE(co.path_count, 1u);
-      const auto first = enumerate_optimal_alignments(a, b, scheme, 1);
-      ASSERT_EQ(first.size(), 1u);
-      ASSERT_EQ(first[0].gapped_a, fm.gapped_a);
-      ASSERT_EQ(first[0].gapped_b, fm.gapped_b);
     }
   }
 }

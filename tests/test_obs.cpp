@@ -265,7 +265,6 @@ TEST_F(Obs, PhaseNames) {
   EXPECT_STREQ(to_string(Phase::kBaseCase), "base-case");
   EXPECT_STREQ(to_string(Phase::kRecursion), "recursion");
   EXPECT_STREQ(to_string(Phase::kHirschberg), "hirschberg");
-  EXPECT_STREQ(to_string(Phase::kBatchJob), "batch-job");
 }
 
 #if !defined(FLSA_OBS_OFF)
@@ -303,7 +302,7 @@ TEST_F(Obs, PhaseTimerSuppressedMetricsStillTrace) {
   TraceRecorder trace;
   set_active_trace(&trace);
   {
-    PhaseTimer timer(Phase::kRecursion, kPhaseLane, /*depth=*/3,
+    PhaseTimer timer(Phase::kRecursion, /*depth=*/3,
                      /*record_metrics=*/false);
   }
   set_active_trace(nullptr);
