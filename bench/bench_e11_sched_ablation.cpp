@@ -3,11 +3,12 @@
 //
 // The paper schedules wavefront lines as synchronized stages; the
 // dependency-counter scheduler removes the barrier. Two views:
-//   * virtual time: isolates the schedule itself;
-//   * real threads: wall-clock cells/s per scheduler on a uniform square
-//     grid and on a ragged rectangular grid at large P, plus allocation
-//     counters. This section feeds BENCH_sched.json so CI tracks the perf
-//     trajectory.
+//   * virtual time: compares the two schedules themselves (the barrier
+//     policy exists only here, where the alpha model is checked);
+//   * real threads: wall-clock cells/s of the one real-thread executor on
+//     a uniform square grid and on a ragged rectangular grid at large P,
+//     plus allocation counters. This section feeds BENCH_sched.json so CI
+//     tracks the perf trajectory.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -24,7 +25,6 @@ namespace {
 
 struct RealRow {
   std::string config;
-  std::string scheduler;
   unsigned threads = 0;
   double median_ms = 0.0;
   double cells_per_s = 0.0;
@@ -33,50 +33,47 @@ struct RealRow {
   bool score_ok = false;
 };
 
-/// One real-thread config timed under every scheduler. A reused workspace
-/// per scheduler makes the timed runs steady-state (warm-up absorbs the
-/// pool growth), so pool_misses_steady == 0 is itself an assertion of the
-/// allocation-free hot path.
-void run_real_config(const std::string& config, const flsa::Sequence& a,
-                     const flsa::Sequence& b, const flsa::ScoringScheme& scheme,
-                     const flsa::FastLsaOptions& base_options, unsigned threads,
-                     std::size_t tiles_per_block, std::vector<RealRow>* rows) {
+/// One real-thread config, timed. A reused workspace makes the timed runs
+/// steady-state (warm-up absorbs the pool growth), so
+/// pool_misses_steady == 0 is itself an assertion of the allocation-free
+/// hot path.
+RealRow run_real_config(const std::string& config, const flsa::Sequence& a,
+                        const flsa::Sequence& b,
+                        const flsa::ScoringScheme& scheme,
+                        const flsa::FastLsaOptions& base_options,
+                        unsigned threads, std::size_t tiles_per_block) {
   const flsa::Score expected =
       flsa::fastlsa_align(a, b, scheme, base_options).score;
   const double cells =
       static_cast<double>(a.size()) * static_cast<double>(b.size());
-  for (flsa::SchedulerKind kind : {flsa::SchedulerKind::kBarrierStaged,
-                                   flsa::SchedulerKind::kDependencyCounter}) {
-    flsa::FastLsaWorkspace workspace;
-    flsa::FastLsaOptions options = base_options;
-    options.workspace = &workspace;
-    flsa::ParallelOptions parallel;
-    parallel.threads = threads;
-    parallel.scheduler = kind;
-    parallel.tiles_per_block = tiles_per_block;
+  flsa::FastLsaWorkspace workspace;
+  flsa::FastLsaOptions options = base_options;
+  options.workspace = &workspace;
+  flsa::ParallelOptions parallel;
+  parallel.threads = threads;
+  parallel.tiles_per_block = tiles_per_block;
 
-    flsa::FastLsaStats stats;
-    flsa::Score score = 0;
-    const flsa::Summary timing = flsa::bench::time_runs(
-        [&] {
-          score = flsa::parallel_fastlsa_align(a, b, scheme, options, parallel,
-                                               &stats)
-                      .score;
-        },
-        /*reps=*/5, /*warmup=*/1);
+  flsa::FastLsaStats stats;
+  flsa::Score score = 0;
+  const flsa::Summary timing = flsa::bench::time_runs(
+      [&] {
+        score =
+            flsa::parallel_fastlsa_align(a, b, scheme, options, parallel,
+                                         &stats)
+                .score;
+      },
+      /*reps=*/5, /*warmup=*/1);
 
-    RealRow row;
-    row.config = config;
-    row.scheduler = flsa::to_string(kind);
-    row.threads = threads;
-    row.median_ms = timing.median * 1e3;
-    row.cells_per_s = flsa::bench::cells_per_second(cells, timing.median);
-    // stats come from the last (fully warm) rep.
-    row.pool_misses_steady = stats.arena_pool_misses;
-    row.pool_hits_steady = stats.arena_pool_hits;
-    row.score_ok = score == expected;
-    rows->push_back(row);
-  }
+  RealRow row;
+  row.config = config;
+  row.threads = threads;
+  row.median_ms = timing.median * 1e3;
+  row.cells_per_s = flsa::bench::cells_per_second(cells, timing.median);
+  // stats come from the last (fully warm) rep.
+  row.pool_misses_steady = stats.arena_pool_misses;
+  row.pool_hits_steady = stats.arena_pool_hits;
+  row.score_ok = score == expected;
+  return row;
 }
 
 void write_json(const std::string& path,
@@ -96,8 +93,8 @@ void write_json(const std::string& path,
   out << "  ],\n  \"real\": [\n";
   for (std::size_t i = 0; i < real_rows.size(); ++i) {
     const RealRow& r = real_rows[i];
-    out << "    {\"config\": \"" << r.config << "\", \"scheduler\": \""
-        << r.scheduler << "\", \"threads\": " << r.threads
+    out << "    {\"config\": \"" << r.config
+        << "\", \"threads\": " << r.threads
         << ", \"median_ms\": " << r.median_ms
         << ", \"cells_per_s\": " << r.cells_per_s
         << ", \"pool_misses_steady\": " << r.pool_misses_steady
@@ -143,32 +140,32 @@ int main() {
                " every tiling;\nfiner tiles raise both (alpha falls with"
                " R*C), with diminishing returns\npast ~4.\n";
 
-  // ---- Real threads: wall-clock cells/s per scheduler. ----
-  std::cout << "\n=== real-thread scheduler comparison (host threads: "
+  // ---- Real threads: wall-clock cells/s of the wavefront executor. ----
+  std::cout << "\n=== real-thread wavefront executor (host threads: "
             << std::thread::hardware_concurrency() << ") ===\n\n";
   flsa::obs::set_enabled(true);  // arena counters are gated on this
   std::vector<RealRow> real_rows;
   // Uniform: square problem, coarse tiles, moderate P — every wavefront
-  // line is evenly loaded, so the barrier costs little here.
-  run_real_config("uniform", pair.a, pair.b,
-                  flsa::ScoringScheme::paper_default(), options,
-                  /*threads=*/4, /*tiles_per_block=*/2, &real_rows);
+  // line is evenly loaded.
+  real_rows.push_back(run_real_config(
+      "uniform", pair.a, pair.b, flsa::ScoringScheme::paper_default(),
+      options, /*threads=*/4, /*tiles_per_block=*/2));
   // Ragged/large-P: rectangular unrelated pair, fine tiles, P = 8. The
-  // min-tile-extent floor and the 4:1 aspect ratio make tile costs ragged;
-  // barrier stages stall on the slowest tile of each line.
+  // min-tile-extent floor and the 4:1 aspect ratio make tile costs ragged.
   {
     flsa::Xoshiro256 rng(7);
     const flsa::Sequence ra =
         flsa::random_sequence(flsa::Alphabet::protein(), 6000, rng);
     const flsa::Sequence rb =
         flsa::random_sequence(flsa::Alphabet::protein(), 1500, rng);
-    run_real_config("ragged", ra, rb, flsa::ScoringScheme::paper_default(),
-                    options, /*threads=*/8, /*tiles_per_block=*/3, &real_rows);
+    real_rows.push_back(run_real_config(
+        "ragged", ra, rb, flsa::ScoringScheme::paper_default(), options,
+        /*threads=*/8, /*tiles_per_block=*/3));
   }
-  flsa::Table real({"config", "scheduler", "P", "time ms", "Mcell/s",
-                    "pool miss", "score ok"});
+  flsa::Table real({"config", "P", "time ms", "Mcell/s", "pool miss",
+                    "score ok"});
   for (const RealRow& r : real_rows) {
-    real.add_row({r.config, r.scheduler, std::to_string(r.threads),
+    real.add_row({r.config, std::to_string(r.threads),
                   flsa::Table::num(r.median_ms),
                   flsa::Table::num(r.cells_per_s / 1e6),
                   std::to_string(r.pool_misses_steady),
@@ -176,9 +173,8 @@ int main() {
   }
   real.print(std::cout);
   std::cout << "\nSteady-state pool misses must be 0 (the arena absorbs all"
-               " per-run allocation\nafter warm-up). On a single-core host"
-               " the cells/s columns flatten — the virtual\ntable above"
-               " carries the schedule comparison there.\n";
+               " per-run allocation\nafter warm-up). The virtual table above"
+               " carries the schedule comparison.\n";
 
   write_json("BENCH_sched.json", virtual_rows, real_rows);
   std::cout << "\nwrote BENCH_sched.json\n";

@@ -1,10 +1,11 @@
 // E12 — real std::thread Parallel FastLSA (sanity harness).
 //
-// This measures actual wall time with the real thread pool and both
-// schedulers. On the paper's multiprocessor this is the headline
-// experiment; on a low-core host (this machine reports its count below)
-// speedups are bounded by the hardware and the virtual-time benches E6-E8
-// carry the shape analysis. Correctness is asserted regardless.
+// This measures actual wall time with the real thread pool and the
+// wavefront executor, one row per thread count. On the paper's
+// multiprocessor this is the headline experiment; on a low-core host (the
+// host reports its count below) speedups are bounded by the hardware and
+// the virtual-time benches E6-E8 carry the shape analysis. Correctness is
+// asserted regardless.
 #include <iostream>
 #include <thread>
 
@@ -26,33 +27,24 @@ int main() {
   const flsa::Score expected =
       flsa::fastlsa_align(pair.a, pair.b, scheme, options).score;
 
-  flsa::Table table({"threads", "scheduler", "time ms", "speedup vs 1",
-                     "score ok"});
+  flsa::Table table({"threads", "time ms", "speedup vs 1", "score ok"});
   double base_ms = 0.0;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (flsa::SchedulerKind kind :
-         {flsa::SchedulerKind::kBarrierStaged,
-          flsa::SchedulerKind::kDependencyCounter}) {
-      flsa::ParallelOptions parallel;
-      parallel.threads = threads;
-      parallel.scheduler = kind;
-      flsa::Score score = 0;
-      const flsa::Summary timing = flsa::bench::time_runs(
-          [&] {
-            score = flsa::parallel_fastlsa_align(pair.a, pair.b, scheme,
-                                                 options, parallel)
-                        .score;
-          },
-          /*reps=*/3, /*warmup=*/1);
-      const double ms = timing.median * 1e3;
-      if (threads == 1 && kind == flsa::SchedulerKind::kBarrierStaged) {
-        base_ms = ms;
-      }
-      table.add_row({std::to_string(threads), flsa::to_string(kind),
-                     flsa::Table::num(ms),
-                     flsa::Table::num(base_ms > 0 ? base_ms / ms : 1.0),
-                     score == expected ? "yes" : "NO"});
-    }
+    flsa::ParallelOptions parallel;
+    parallel.threads = threads;
+    flsa::Score score = 0;
+    const flsa::Summary timing = flsa::bench::time_runs(
+        [&] {
+          score = flsa::parallel_fastlsa_align(pair.a, pair.b, scheme,
+                                               options, parallel)
+                      .score;
+        },
+        /*reps=*/3, /*warmup=*/1);
+    const double ms = timing.median * 1e3;
+    if (threads == 1) base_ms = ms;
+    table.add_row({std::to_string(threads), flsa::Table::num(ms),
+                   flsa::Table::num(base_ms / ms),
+                   score == expected ? "yes" : "NO"});
   }
   table.print(std::cout);
   std::cout << "\nOn a single-core host expect flat times (threading"

@@ -10,7 +10,7 @@
 // with OVERLOADED rejections instead of unbounded queueing.
 //
 // Feeds BENCH_service.json so CI tracks the serving-path trajectory the
-// same way BENCH_sched.json tracks the scheduler.
+// same way BENCH_sched.json tracks the wavefront executor.
 #include <algorithm>
 #include <atomic>
 #include <chrono>

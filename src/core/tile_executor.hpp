@@ -5,8 +5,8 @@
 // (i-1, j) and (i, j-1) — the paper's wavefront. The engine describes the
 // grid and the per-tile work; an executor decides *how* the tiles run:
 //   - SequentialExecutor (here): row-major loop on the calling thread;
-//   - parallel/wavefront.hpp: P worker threads, barrier-staged or
-//     dependency-counter scheduling;
+//   - parallel/wavefront.hpp: P worker threads, dependency-counter
+//     scheduling;
 //   - simexec/recording.hpp: sequential execution that also records the
 //     tile DAG and per-tile costs for virtual-time replay.
 #pragma once
@@ -42,15 +42,13 @@ using TileWorkFn =
                               unsigned worker)>;
 
 /// Invokes `work` for one tile, recording a per-worker trace span (tile
-/// coordinates, cells, wall time on lane `worker`, plus the scheduling
-/// policy when the executor passes its static-string tag) when a trace is
-/// being collected. Every executor funnels tile execution through here so
-/// the trace sees all scheduling policies identically; without an active
-/// trace this is a direct call.
+/// coordinates, cells, wall time on lane `worker`) when a trace is being
+/// collected. Every executor funnels tile execution through here so the
+/// trace sees all executors identically; without an active trace this is
+/// a direct call.
 inline std::uint64_t run_tile(TileWorkFn work, std::size_t ti,
                               std::size_t tj, unsigned worker,
-                              TilePhase phase,
-                              const char* scheduler = nullptr) {
+                              TilePhase phase) {
   obs::TraceRecorder* recorder = obs::active_trace();
   if (recorder == nullptr) return work(ti, tj, worker);
   const auto start = obs::TraceRecorder::now();
@@ -62,7 +60,6 @@ inline std::uint64_t run_tile(TileWorkFn work, std::size_t ti,
   span.tile_row = static_cast<std::int64_t>(ti);
   span.tile_col = static_cast<std::int64_t>(tj);
   span.cells = static_cast<std::int64_t>(cells);
-  span.scheduler = scheduler;
   recorder->record(span, start, obs::TraceRecorder::now());
   return cells;
 }

@@ -66,7 +66,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first_event = true;
 
-  // Thread-name metadata: one lane per worker plus the engine lanes, so
+  // Thread-name metadata: one lane per worker plus the phase lane, so
   // the viewer labels rows "worker 3" instead of bare tids.
   std::set<std::uint32_t> tids;
   for (const TraceSpan& s : spans) tids.insert(s.tid);
@@ -76,8 +76,6 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
        << ",\"args\":{\"name\":\"";
     if (tid == kPhaseLane) {
       os << "phases";
-    } else if (tid == kSchedulerLane) {
-      os << "wavefront lines";
     } else {
       os << "worker " << tid;
     }
@@ -100,12 +98,6 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
     write_arg(os, first_arg, "tile_col", s.tile_col);
     write_arg(os, first_arg, "cells", s.cells);
     write_arg(os, first_arg, "depth", s.depth);
-    write_arg(os, first_arg, "line", s.line);
-    write_arg(os, first_arg, "tiles", s.tiles);
-    if (s.scheduler != nullptr) {
-      os << (first_arg ? "" : ",") << "\"sched\":\"" << s.scheduler << "\"";
-      first_arg = false;
-    }
     os << "}}";
     first_event = false;
   }

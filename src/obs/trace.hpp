@@ -1,7 +1,7 @@
 // Chrome-trace span recorder.
 //
-// Collects duration spans — per-worker tile executions, engine phases,
-// wavefront lines — and serializes them as the Trace Event JSON that
+// Collects duration spans — per-worker tile executions and engine
+// phases — and serializes them as the Trace Event JSON that
 // chrome://tracing / Perfetto load directly. Loading a parallel run's
 // trace shows one lane per worker, which makes the wavefront's
 // ramp-up / saturation / ramp-down (the shape behind the paper's alpha
@@ -28,23 +28,17 @@ namespace obs {
 struct TraceSpan {
   const char* name = "";
   const char* category = "";
-  std::uint32_t tid = 0;   ///< lane: worker id, kPhaseLane or kSchedulerLane
+  std::uint32_t tid = 0;   ///< lane: worker id or kPhaseLane
   double ts_us = 0.0;      ///< start, microseconds since the recorder epoch
   double dur_us = 0.0;
   std::int64_t tile_row = -1;
   std::int64_t tile_col = -1;
   std::int64_t cells = -1;
   std::int64_t depth = -1;
-  std::int64_t line = -1;
-  std::int64_t tiles = -1;
-  /// Scheduling policy that ran the tile (static string, e.g.
-  /// "dependency-counter"); nullptr when not applicable, omitted from JSON.
-  const char* scheduler = nullptr;
 };
 
-/// Display lanes for spans that do not belong to a DP worker.
-inline constexpr std::uint32_t kPhaseLane = 1000;      ///< engine phases
-inline constexpr std::uint32_t kSchedulerLane = 1001;  ///< wavefront lines
+/// Display lane for spans that do not belong to a DP worker.
+inline constexpr std::uint32_t kPhaseLane = 1000;  ///< engine phases
 
 class TraceRecorder {
  public:

@@ -40,7 +40,7 @@ Alignment run_parallel(const Sequence& a, const Sequence& b,
   FLSA_OBS_GAUGE("parallel.tiles_per_block",
                  static_cast<double>(resolved.tiles_per_block));
   ThreadPool pool(resolved.threads);
-  WavefrontExecutor executor(pool, resolved.scheduler);
+  WavefrontExecutor executor(pool);
   detail::EnginePlan plan;
   plan.executor = &executor;
   plan.tiles_per_block = resolved.tiles_per_block;

@@ -22,8 +22,6 @@ struct ParallelOptions {
   /// Worker threads (P). 0 = hardware concurrency.
   unsigned threads = 0;
 
-  SchedulerKind scheduler = SchedulerKind::kDependencyCounter;
-
   /// Tiles per block and dimension in the fill phase; 0 = auto
   /// (enough tiles that a full wavefront line exceeds 2 * threads).
   std::size_t tiles_per_block = 0;

@@ -1,9 +1,9 @@
-// Fixed-size worker pool used by the wavefront schedulers.
+// Fixed-size worker pool used by the wavefront executor.
 //
 // The pool supports one collective operation: parallel_run(fn) invokes
 // fn(worker_id) once on every worker and returns when all have finished.
-// Schedulers build wavefront execution on top of this by sharing a work
-// queue among the workers. Keeping the pool alive across FastLSA's many
+// The wavefront executor builds on this by sharing a ready queue among
+// the workers. Keeping the pool alive across FastLSA's many
 // fill/base-case phases avoids per-phase thread creation.
 #pragma once
 

@@ -1,35 +1,14 @@
 #include "parallel/wavefront.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <vector>
+#include <utility>
 
-#include "obs/obs.hpp"
 #include "support/assert.hpp"
 
 namespace flsa {
-
-const char* to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kBarrierStaged: return "barrier-staged";
-    case SchedulerKind::kDependencyCounter: return "dependency-counter";
-  }
-  return "?";
-}
-
-bool parse_scheduler_kind(std::string_view name, SchedulerKind* out) {
-  if (name == "barrier" || name == "barrier-staged") {
-    *out = SchedulerKind::kBarrierStaged;
-  } else if (name == "dependency" || name == "dependency-counter") {
-    *out = SchedulerKind::kDependencyCounter;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 std::atomic<int>* WavefrontExecutor::ensure_deps(std::size_t count) {
   if (deps_capacity_ < count) {
@@ -45,80 +24,10 @@ void WavefrontExecutor::run(std::size_t tile_rows, std::size_t tile_cols,
   if (tile_rows == 0 || tile_cols == 0) return;
   // A single tile (or a single worker) needs no scheduling machinery.
   if (pool_.size() == 1 || tile_rows * tile_cols == 1) {
-    const char* tag = to_string(kind_);
-    for (std::size_t ti = 0; ti < tile_rows; ++ti) {
-      for (std::size_t tj = 0; tj < tile_cols; ++tj) {
-        if (skip && skip(ti, tj)) continue;
-        run_tile(work, ti, tj, 0, phase, tag);
-      }
-    }
+    SequentialExecutor().run(tile_rows, tile_cols, skip, work, phase);
     return;
   }
-  switch (kind_) {
-    case SchedulerKind::kBarrierStaged:
-      run_barrier(tile_rows, tile_cols, skip, work, phase);
-      break;
-    case SchedulerKind::kDependencyCounter:
-      run_dependency(tile_rows, tile_cols, skip, work, phase);
-      break;
-  }
-}
 
-void WavefrontExecutor::run_barrier(std::size_t tile_rows,
-                                    std::size_t tile_cols, TileSkipFn skip,
-                                    TileWorkFn work, TilePhase phase) {
-  // One parallel stage per wavefront line (anti-diagonal), exactly the
-  // paper's three-phase schedule: lines grow from 1 tile to full width and
-  // shrink again. Each line also gets a trace span on the scheduler lane,
-  // so ramp-up / saturation / ramp-down is visible at a glance.
-  const char* tag = to_string(SchedulerKind::kBarrierStaged);
-  obs::TraceRecorder* recorder = obs::active_trace();
-  std::vector<std::pair<std::size_t, std::size_t>> line;
-  for (std::size_t d = 0; d + 1 < tile_rows + tile_cols; ++d) {
-    line.clear();
-    const std::size_t ti_begin = d >= tile_cols ? d - tile_cols + 1 : 0;
-    const std::size_t ti_end = std::min(d, tile_rows - 1);
-    for (std::size_t ti = ti_begin; ti <= ti_end; ++ti) {
-      const std::size_t tj = d - ti;
-      if (skip && skip(ti, tj)) continue;
-      line.emplace_back(ti, tj);
-    }
-    if (line.empty()) continue;
-    const auto line_start = recorder != nullptr
-                                ? obs::TraceRecorder::now()
-                                : obs::TraceRecorder::Clock::time_point{};
-    if (line.size() == 1) {
-      run_tile(work, line[0].first, line[0].second, 0, phase, tag);
-    } else {
-      std::atomic<std::size_t> next{0};
-      pool_.parallel_run([&](unsigned worker) {
-        while (true) {
-          const std::size_t index =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (index >= line.size()) break;
-          run_tile(work, line[index].first, line[index].second, worker,
-                   phase, tag);
-        }
-      });
-    }
-    if (recorder != nullptr) {
-      obs::TraceSpan span;
-      span.name = "wavefront-line";
-      span.category = to_string(phase);
-      span.tid = obs::kSchedulerLane;
-      span.line = static_cast<std::int64_t>(d);
-      span.tiles = static_cast<std::int64_t>(line.size());
-      span.scheduler = tag;
-      recorder->record(span, line_start, obs::TraceRecorder::now());
-    }
-  }
-}
-
-void WavefrontExecutor::run_dependency(std::size_t tile_rows,
-                                       std::size_t tile_cols,
-                                       TileSkipFn skip, TileWorkFn work,
-                                       TilePhase phase) {
-  const char* tag = to_string(SchedulerKind::kDependencyCounter);
   const std::size_t total_slots = tile_rows * tile_cols;
   auto index_of = [tile_cols](std::size_t ti, std::size_t tj) {
     return ti * tile_cols + tj;
@@ -162,7 +71,7 @@ void WavefrontExecutor::run_dependency(std::size_t tile_rows,
       lock.unlock();
 
       try {
-        run_tile(work, ti, tj, worker, phase, tag);
+        run_tile(work, ti, tj, worker, phase);
       } catch (...) {
         // Wake every waiting worker so none waits for a tile this one
         // would have released; the pool delivers the error to the caller.

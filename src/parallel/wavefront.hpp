@@ -1,40 +1,24 @@
-// Wavefront tile schedulers: the parallel execution policies behind
+// Wavefront tile scheduler: the real-thread execution policy behind
 // Parallel FastLSA's Fill Grid Cache and Base Case phases.
 //
 // Tiles on the same anti-diagonal are independent (the paper's "wavefront
-// lines"); two policies realize this:
-//   kBarrierStaged      — the paper's formulation: process one wavefront
-//                         line at a time, with a barrier between lines.
-//   kDependencyCounter  — each tile becomes runnable as soon as its up and
-//                         left neighbours finish; runnable tiles go through
-//                         one mutex-protected shared queue. No barriers, so
-//                         ragged diagonals and uneven tile costs overlap
-//                         across lines, but every hand-off contends on the
-//                         one lock.
-//                         Ablation E11 compares the two.
+// lines"). The paper runs each line as a barrier stage; this executor
+// drops the barriers instead: each tile becomes runnable as soon as its up
+// and left neighbours finish, and runnable tiles go through one
+// mutex-protected shared queue, so ragged diagonals and uneven tile costs
+// overlap across lines. The paper's barrier-staged policy survives only in
+// virtual time (simexec/virtual_time.hpp), where the alpha model of
+// Eq. 32 is checked against it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "core/tile_executor.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace flsa {
-
-enum class SchedulerKind : std::uint8_t {
-  kBarrierStaged,
-  kDependencyCounter,
-};
-
-const char* to_string(SchedulerKind kind);
-
-/// Parses a CLI scheduler name. Accepts the full to_string() names plus
-/// the short forms "barrier" and "dependency". Returns false
-/// (leaving *out untouched) on anything else.
-bool parse_scheduler_kind(std::string_view name, SchedulerKind* out);
 
 /// TileExecutor running tiles on a shared ThreadPool.
 ///
@@ -48,27 +32,19 @@ bool parse_scheduler_kind(std::string_view name, SchedulerKind* out);
 /// not re-allocate scheduler state.
 class WavefrontExecutor final : public TileExecutor {
  public:
-  WavefrontExecutor(ThreadPool& pool, SchedulerKind kind)
-      : pool_(pool), kind_(kind) {}
+  explicit WavefrontExecutor(ThreadPool& pool) : pool_(pool) {}
 
   unsigned worker_count() const override { return pool_.size(); }
-  SchedulerKind kind() const { return kind_; }
 
   void run(std::size_t tile_rows, std::size_t tile_cols, TileSkipFn skip,
            TileWorkFn work, TilePhase phase) override;
 
  private:
-  void run_barrier(std::size_t tile_rows, std::size_t tile_cols,
-                   TileSkipFn skip, TileWorkFn work, TilePhase phase);
-  void run_dependency(std::size_t tile_rows, std::size_t tile_cols,
-                      TileSkipFn skip, TileWorkFn work, TilePhase phase);
-
-  /// Grow-only dependency-counter array of the dependency policy;
-  /// contents are re-initialized per run.
+  /// Grow-only dependency-counter array; contents are re-initialized per
+  /// run.
   std::atomic<int>* ensure_deps(std::size_t count);
 
   ThreadPool& pool_;
-  SchedulerKind kind_;
   std::unique_ptr<std::atomic<int>[]> deps_;
   std::size_t deps_capacity_ = 0;
 };

@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "parallel/wavefront.hpp"
 #include "simexec/recording.hpp"
 
 namespace flsa {

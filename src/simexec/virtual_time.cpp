@@ -121,6 +121,14 @@ std::uint64_t dependency_makespan(const TileGridRecord& grid,
 
 }  // namespace
 
+const char* to_string(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::kBarrierStaged: return "barrier-staged";
+    case SchedulerKind::kDependencyCounter: return "dependency-counter";
+  }
+  return "?";
+}
+
 std::uint64_t grid_makespan(const TileGridRecord& grid, unsigned processors,
                             SchedulerKind policy,
                             std::uint64_t per_tile_overhead) {

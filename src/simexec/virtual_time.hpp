@@ -1,12 +1,15 @@
 // Virtual-time replay: makespan of a recorded tile DAG on P simulated
 // processors, in cost units (DPM cells).
 //
-// Two policies mirror the real schedulers:
-//  - barrier-staged: wavefront lines run as synchronized stages; a stage's
-//    duration is the greedy P-processor makespan of its tiles (matching
-//    WavefrontExecutor::run_barrier's dynamic self-scheduling in a line);
+// Two replay policies:
+//  - barrier-staged: the paper's Section 5 schedule. Wavefront lines run
+//    as synchronized stages; a stage's duration is the greedy P-processor
+//    makespan of its tiles (dynamic self-scheduling within a line). The
+//    alpha model of Eq. 32 describes this policy, so it exists only here,
+//    for checking the model; no real-thread executor runs it;
 //  - dependency-counter: event-driven list scheduling where a tile starts
-//    the moment a processor is free and its up/left tiles finished.
+//    the moment a processor is free and its up/left tiles finished, as
+//    the real-thread WavefrontExecutor does.
 //
 // `per_tile_overhead` models the fixed cost of dispatching/synchronizing
 // one tile (scheduling, boundary copies, cache warm-up), expressed in cell
@@ -19,10 +22,17 @@
 
 #include <cstdint>
 
-#include "parallel/wavefront.hpp"
 #include "simexec/recording.hpp"
 
 namespace flsa {
+
+/// Replay policy of the virtual-time makespan functions.
+enum class SchedulerKind : std::uint8_t {
+  kBarrierStaged,
+  kDependencyCounter,
+};
+
+const char* to_string(SchedulerKind kind);
 
 /// Makespan of one tile grid on `processors` simulated processors; each
 /// tile costs its recorded cells plus `per_tile_overhead`.

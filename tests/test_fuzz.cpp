@@ -102,22 +102,17 @@ TEST_P(FuzzSweep, AllGlobalAlgorithmsAgree) {
             << "prune/" << to_string(kind);
         ASSERT_EQ(pruned.gapped_b, fm.gapped_b)
             << "prune/" << to_string(kind);
-        // Parallel FastLSA: same alignment, tile wavefront, every kernel,
-        // both schedulers (first trial only; the tiny problems make
-        // threads pure overhead).
+        // Parallel FastLSA: same alignment, tile wavefront, every kernel
+        // (first trial only; the tiny problems make threads pure
+        // overhead).
         if (trial == 0) {
-          for (SchedulerKind sched : {SchedulerKind::kBarrierStaged,
-                                      SchedulerKind::kDependencyCounter}) {
-            ParallelOptions popts;
-            popts.threads = 2;
-            popts.scheduler = sched;
-            const Alignment par =
-                parallel_fastlsa_align(a, b, scheme, fopts, popts);
-            ASSERT_EQ(par.score, fm.score)
-                << to_string(kind) << "/" << to_string(sched);
-            ASSERT_EQ(par.gapped_a, fm.gapped_a)
-                << to_string(kind) << "/" << to_string(sched);
-          }
+          ParallelOptions popts;
+          popts.threads = 2;
+          const Alignment par =
+              parallel_fastlsa_align(a, b, scheme, fopts, popts);
+          ASSERT_EQ(par.score, fm.score) << "parallel/" << to_string(kind);
+          ASSERT_EQ(par.gapped_a, fm.gapped_a)
+              << "parallel/" << to_string(kind);
         }
       }
 
@@ -218,15 +213,10 @@ TEST(FuzzGolden, PaperExampleUnderEveryKernel) {
     ASSERT_EQ(fastlsa_align(a, b, scheme, fopts, &stats).score, 82)
         << to_string(kind);
     ASSERT_EQ(stats.kernel_used, resolve_kernel(kind));
-    for (SchedulerKind sched : {SchedulerKind::kBarrierStaged,
-                                SchedulerKind::kDependencyCounter}) {
-      ParallelOptions popts;
-      popts.threads = 2;
-      popts.scheduler = sched;
-      ASSERT_EQ(parallel_fastlsa_align(a, b, scheme, fopts, popts).score,
-                82)
-          << to_string(kind) << "/" << to_string(sched);
-    }
+    ParallelOptions popts;
+    popts.threads = 2;
+    ASSERT_EQ(parallel_fastlsa_align(a, b, scheme, fopts, popts).score, 82)
+        << "parallel/" << to_string(kind);
   }
 }
 

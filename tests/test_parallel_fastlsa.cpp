@@ -1,5 +1,5 @@
 // Tests for Parallel FastLSA: bit-identical results to the sequential
-// algorithm across thread counts, schedulers, and tilings.
+// algorithm across thread counts and tilings.
 #include <gtest/gtest.h>
 
 #include "core/arena.hpp"
@@ -50,52 +50,43 @@ TEST(ParallelFastLsa, MatchesSequentialAlignmentExactly) {
   }
 }
 
-TEST(ParallelFastLsa, AllSchedulersAgree) {
+TEST(ParallelFastLsa, MatchesFullMatrixScore) {
   Xoshiro256 rng(112);
   MutationModel model;
   const SequencePair pair =
       homologous_pair(Alphabet::protein(), 250, model, rng);
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   const Score expected = full_matrix_score(pair.a, pair.b, scheme);
-  for (SchedulerKind kind : {SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter}) {
-    ParallelOptions parallel;
-    parallel.threads = 4;
-    parallel.scheduler = kind;
-    EXPECT_EQ(parallel_fastlsa_align(pair.a, pair.b, scheme, opts(3, 200),
-                                     parallel)
-                  .score,
-              expected)
-        << to_string(kind);
-  }
+  ParallelOptions parallel;
+  parallel.threads = 4;
+  EXPECT_EQ(
+      parallel_fastlsa_align(pair.a, pair.b, scheme, opts(3, 200), parallel)
+          .score,
+      expected);
 }
 
-TEST(ParallelFastLsa, SchedulersProduceIdenticalAlignments) {
-  // Bit-identical alignments (not just scores) across both policies and
-  // against the sequential reference.
+TEST(ParallelFastLsa, ProducesTheSequentialAlignment) {
+  // Bit-identical alignments (not just scores) against the sequential
+  // reference.
   Xoshiro256 rng(117);
   MutationModel model;
   const SequencePair pair =
       homologous_pair(Alphabet::protein(), 320, model, rng);
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   const Alignment seq = fastlsa_align(pair.a, pair.b, scheme, opts(4, 256));
-  for (SchedulerKind kind : {SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter}) {
-    ParallelOptions parallel;
-    parallel.threads = 4;
-    parallel.scheduler = kind;
-    const Alignment par = parallel_fastlsa_align(pair.a, pair.b, scheme,
-                                                 opts(4, 256), parallel);
-    EXPECT_EQ(par.score, seq.score) << to_string(kind);
-    EXPECT_EQ(par.gapped_a, seq.gapped_a) << to_string(kind);
-    EXPECT_EQ(par.gapped_b, seq.gapped_b) << to_string(kind);
-  }
+  ParallelOptions parallel;
+  parallel.threads = 4;
+  const Alignment par = parallel_fastlsa_align(pair.a, pair.b, scheme,
+                                               opts(4, 256), parallel);
+  EXPECT_EQ(par.score, seq.score);
+  EXPECT_EQ(par.gapped_a, seq.gapped_a);
+  EXPECT_EQ(par.gapped_b, seq.gapped_b);
 }
 
 TEST(ParallelFastLsa, WorkspaceReuseAcrossRunsStaysCorrect) {
-  // The same FastLsaWorkspace recycled across runs of different shapes
-  // and schedulers must never change results — recycled buffers carry
-  // stale data by design.
+  // The same FastLsaWorkspace recycled across sequential and parallel
+  // runs of different shapes must never change results — recycled
+  // buffers carry stale data by design.
   Xoshiro256 rng(119);
   const ScoringScheme& scheme = ScoringScheme::paper_default();
   FastLsaWorkspace workspace;
@@ -110,8 +101,6 @@ TEST(ParallelFastLsa, WorkspaceReuseAcrossRunsStaysCorrect) {
     EXPECT_EQ(fastlsa_align(a, b, scheme, o).score, expected);
     ParallelOptions parallel;
     parallel.threads = 3;
-    parallel.scheduler = trial % 2 == 0 ? SchedulerKind::kBarrierStaged
-                                        : SchedulerKind::kDependencyCounter;
     EXPECT_EQ(parallel_fastlsa_align(a, b, scheme, o, parallel).score,
               expected);
   }

@@ -82,6 +82,12 @@ INSTANTIATE_TEST_SUITE_P(Policies, Policies,
                                       : "dependency";
                          });
 
+TEST(VirtualTime, SchedulerNames) {
+  EXPECT_STREQ(to_string(SchedulerKind::kBarrierStaged), "barrier-staged");
+  EXPECT_STREQ(to_string(SchedulerKind::kDependencyCounter),
+               "dependency-counter");
+}
+
 TEST(VirtualTime, DependencyDominatesBarrierOnRaggedCosts) {
   // Uneven tile costs leave barrier stages waiting for stragglers; the
   // dependency-counter policy overlaps across diagonals and can only be

@@ -1,11 +1,10 @@
-// Tests for the wavefront schedulers: dependency ordering, skip handling,
-// completeness, and equivalence between policies.
+// Tests for the wavefront executor: dependency ordering, skip handling,
+// completeness, and error propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "core/tile_executor.hpp"
@@ -44,11 +43,9 @@ struct CompletionLog {
   std::vector<std::atomic<bool>> done_;
 };
 
-class WavefrontPolicies : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(WavefrontPolicies, RunsAllTilesRespectingDependencies) {
+TEST(Wavefront, RunsAllTilesRespectingDependencies) {
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   CompletionLog log(7, 5);
   exec.run(
       7, 5, nullptr,
@@ -61,9 +58,9 @@ TEST_P(WavefrontPolicies, RunsAllTilesRespectingDependencies) {
   EXPECT_EQ(log.count(), 35u);
 }
 
-TEST_P(WavefrontPolicies, SkipsDownRightClosedRegion) {
+TEST(Wavefront, SkipsDownRightClosedRegion) {
   ThreadPool pool(3);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   CompletionLog log(6, 6);
   auto skip = [](std::size_t ti, std::size_t tj) {
     return ti >= 4 && tj >= 3;
@@ -79,9 +76,9 @@ TEST_P(WavefrontPolicies, SkipsDownRightClosedRegion) {
   EXPECT_EQ(log.count(), 36u - 6u);
 }
 
-TEST_P(WavefrontPolicies, SingleRowAndColumnGrids) {
+TEST(Wavefront, SingleRowAndColumnGrids) {
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{1, 12},
                             {12, 1},
                             {1, 1}}) {
@@ -97,13 +94,13 @@ TEST_P(WavefrontPolicies, SingleRowAndColumnGrids) {
   }
 }
 
-TEST_P(WavefrontPolicies, StaircaseSkipRegion) {
+TEST(Wavefront, StaircaseSkipRegion) {
   // A non-rectangular (but still down-right-closed) staircase skip:
   // skip(ti, tj) <=> 2*ti + tj >= 9 on a 6x7 grid. The last row is
-  // skipped entirely, so the dependency-counter scheduler's runnable
-  // count must not include it.
+  // skipped entirely, so the executor's runnable count must not
+  // include it.
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   auto skip = [](std::size_t ti, std::size_t tj) {
     return 2 * ti + tj >= 9;
   };
@@ -126,12 +123,11 @@ TEST_P(WavefrontPolicies, StaircaseSkipRegion) {
   EXPECT_EQ(log.count(), expected);
 }
 
-TEST_P(WavefrontPolicies, MoreWorkersThanTiles) {
-  // 8 workers, 4 tiles: most workers never get a tile, and on the
-  // dependency-counter policy they must still wake up and exit when the
-  // last tile completes.
+TEST(Wavefront, MoreWorkersThanTiles) {
+  // 8 workers, 4 tiles: most workers never get a tile, and they must
+  // still wake up and exit when the last tile completes.
   ThreadPool pool(8);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   CompletionLog log(2, 2);
   exec.run(
       2, 2, nullptr,
@@ -144,11 +140,11 @@ TEST_P(WavefrontPolicies, MoreWorkersThanTiles) {
   EXPECT_EQ(log.count(), 4u);
 }
 
-TEST_P(WavefrontPolicies, MoreWorkersThanTilesWithSkips) {
+TEST(Wavefront, MoreWorkersThanTilesWithSkips) {
   // Workers > runnable tiles where skips thin the grid further: only the
   // first column of a 3x4 grid runs (down-right-closed region).
   ThreadPool pool(8);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   auto skip = [](std::size_t, std::size_t tj) { return tj >= 1; };
   CompletionLog log(3, 4);
   exec.run(
@@ -162,9 +158,9 @@ TEST_P(WavefrontPolicies, MoreWorkersThanTilesWithSkips) {
   EXPECT_EQ(log.count(), 3u);
 }
 
-TEST_P(WavefrontPolicies, UnevenTileCostsStillComplete) {
+TEST(Wavefront, UnevenTileCostsStillComplete) {
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   CompletionLog log(5, 9);
   exec.run(
       5, 9, nullptr,
@@ -182,9 +178,9 @@ TEST_P(WavefrontPolicies, UnevenTileCostsStillComplete) {
   EXPECT_EQ(log.count(), 45u);
 }
 
-TEST_P(WavefrontPolicies, EmptyGridIsNoop) {
+TEST(Wavefront, EmptyGridIsNoop) {
   ThreadPool pool(2);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   exec.run(
       0, 5, nullptr,
       [&](std::size_t, std::size_t, unsigned) -> std::uint64_t {
@@ -194,11 +190,11 @@ TEST_P(WavefrontPolicies, EmptyGridIsNoop) {
       TilePhase::kFillCache);
 }
 
-TEST_P(WavefrontPolicies, ManyMoreTilesThanWorkers) {
+TEST(Wavefront, ManyMoreTilesThanWorkers) {
   // Tiles >> workers: 2 workers over a 24x24 grid exercises sustained
   // ready-queue churn.
   ThreadPool pool(2);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   CompletionLog log(24, 24);
   exec.run(
       24, 24, nullptr,
@@ -210,12 +206,12 @@ TEST_P(WavefrontPolicies, ManyMoreTilesThanWorkers) {
   EXPECT_EQ(log.count(), 24u * 24u);
 }
 
-TEST_P(WavefrontPolicies, RaggedTileCostsAcrossManyRuns) {
+TEST(Wavefront, RaggedTileCostsAcrossManyRuns) {
   // Heavily ragged costs (two orders of magnitude spread) across repeated
   // runs on one executor — the persistent counters must reset cleanly
   // between runs.
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   for (int round = 0; round < 5; ++round) {
     CompletionLog log(9, 5);
     exec.run(
@@ -236,29 +232,16 @@ TEST_P(WavefrontPolicies, RaggedTileCostsAcrossManyRuns) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, WavefrontPolicies,
-                         ::testing::Values(
-                             SchedulerKind::kBarrierStaged,
-                             SchedulerKind::kDependencyCounter),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case SchedulerKind::kBarrierStaged:
-                               return "barrier";
-                             case SchedulerKind::kDependencyCounter:
-                               return "dependency";
-                           }
-                           return "unknown";
-                         });
-
-TEST(Wavefront, AllPoliciesVisitTheSameTileSet) {
-  // Differential check: for a staircase skip on a ragged-cost grid, every
-  // policy must execute exactly the same tile set, each tile exactly once.
+TEST(Wavefront, VisitsExactlyTheUnskippedTiles) {
+  // For a staircase skip on a ragged-cost grid, the executor must run
+  // every unskipped tile exactly once and no skipped tile, both on a
+  // 4-worker pool and on the 1-worker inline loop.
   auto skip = [](std::size_t ti, std::size_t tj) {
     return ti + 2 * tj >= 14;
   };
-  auto visited_under = [&](SchedulerKind kind) {
-    ThreadPool pool(4);
-    WavefrontExecutor exec(pool, kind);
+  for (unsigned workers : {4u, 1u}) {
+    ThreadPool pool(workers);
+    WavefrontExecutor exec(pool);
     std::vector<std::atomic<int>> visits(8 * 11);
     for (auto& v : visits) v.store(0);
     exec.run(
@@ -274,28 +257,21 @@ TEST(Wavefront, AllPoliciesVisitTheSameTileSet) {
           return std::uint64_t{1};
         },
         TilePhase::kFillCache);
-    std::vector<int> counts(visits.size());
-    for (std::size_t i = 0; i < visits.size(); ++i) counts[i] = visits[i];
-    return counts;
-  };
-  const std::vector<int> barrier =
-      visited_under(SchedulerKind::kBarrierStaged);
-  const std::vector<int> dependency =
-      visited_under(SchedulerKind::kDependencyCounter);
-  for (std::size_t ti = 0; ti < 8; ++ti) {
-    for (std::size_t tj = 0; tj < 11; ++tj) {
-      const int expected = skip(ti, tj) ? 0 : 1;
-      EXPECT_EQ(barrier[ti * 11 + tj], expected) << ti << "," << tj;
+    for (std::size_t ti = 0; ti < 8; ++ti) {
+      for (std::size_t tj = 0; tj < 11; ++tj) {
+        const int expected = skip(ti, tj) ? 0 : 1;
+        EXPECT_EQ(visits[ti * 11 + tj].load(), expected)
+            << workers << " workers, tile " << ti << "," << tj;
+      }
     }
   }
-  EXPECT_EQ(dependency, barrier);
 }
 
-TEST_P(WavefrontPolicies, ThrowingTilePropagatesToTheCaller) {
+TEST(Wavefront, ThrowingTilePropagatesToTheCaller) {
   // A throwing tile must neither hang the other workers nor be lost: the
   // first error reaches the caller.
   ThreadPool pool(4);
-  WavefrontExecutor exec(pool, GetParam());
+  WavefrontExecutor exec(pool);
   EXPECT_THROW(
       exec.run(
           6, 6, nullptr,
@@ -321,53 +297,6 @@ TEST(Wavefront, SequentialExecutorRowMajorOrder) {
   ASSERT_EQ(order.size(), 8u);
   EXPECT_EQ(order.front(), (std::pair<std::size_t, std::size_t>{0, 0}));
   EXPECT_EQ(order.back(), (std::pair<std::size_t, std::size_t>{2, 1}));
-}
-
-#if !defined(FLSA_OBS_OFF)
-TEST(Wavefront, BarrierSchedulerRecordsLineSpans) {
-  // The barrier policy stamps one scheduler-lane span per non-empty
-  // wavefront line; a 3x4 grid has 6 anti-diagonals.
-  ThreadPool pool(2);
-  WavefrontExecutor exec(pool, SchedulerKind::kBarrierStaged);
-  obs::TraceRecorder trace;
-  obs::set_active_trace(&trace);
-  exec.run(
-      3, 4, nullptr,
-      [&](std::size_t, std::size_t, unsigned) { return std::uint64_t{1}; },
-      TilePhase::kFillCache);
-  obs::set_active_trace(nullptr);
-  std::size_t lines = 0, tiles = 0;
-  for (const obs::TraceSpan& span : trace.spans()) {
-    if (std::string_view(span.name) == "wavefront-line") {
-      EXPECT_EQ(span.tid, obs::kSchedulerLane);
-      EXPECT_GE(span.tiles, 1);
-      ++lines;
-    } else if (std::string_view(span.name) == "tile") {
-      ++tiles;
-    }
-  }
-  EXPECT_EQ(lines, 6u);
-  EXPECT_EQ(tiles, 12u);
-}
-#endif  // !defined(FLSA_OBS_OFF)
-
-TEST(Wavefront, SchedulerNames) {
-  EXPECT_STREQ(to_string(SchedulerKind::kBarrierStaged), "barrier-staged");
-  EXPECT_STREQ(to_string(SchedulerKind::kDependencyCounter),
-               "dependency-counter");
-}
-
-TEST(Wavefront, ParseSchedulerKind) {
-  SchedulerKind kind = SchedulerKind::kBarrierStaged;
-  EXPECT_TRUE(parse_scheduler_kind("dependency", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kDependencyCounter);
-  EXPECT_TRUE(parse_scheduler_kind("dependency-counter", &kind));
-  EXPECT_TRUE(parse_scheduler_kind("barrier", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kBarrierStaged);
-  EXPECT_TRUE(parse_scheduler_kind("barrier-staged", &kind));
-  kind = SchedulerKind::kDependencyCounter;
-  EXPECT_FALSE(parse_scheduler_kind("fifo", &kind));
-  EXPECT_EQ(kind, SchedulerKind::kDependencyCounter);  // untouched on failure
 }
 
 }  // namespace

@@ -24,6 +24,11 @@
 
 namespace {
 
+// Upper bound on --threads. The thread pool starts every worker eagerly,
+// so an out-of-range count (a negative one would wrap to ~4 billion as
+// unsigned) is a usage error, not a request.
+constexpr std::int64_t kMaxThreads = 1024;
+
 struct LoadedInputs {
   flsa::Sequence a;
   flsa::Sequence b;
@@ -70,10 +75,9 @@ int main(int argc, char** argv) {
                  "auto | full-matrix | hirschberg | fastlsa | parallel");
   cli.add_int("k", 8, "FastLSA division factor");
   cli.add_int("bm", 1 << 20, "FastLSA base-case buffer, in DPM cells");
-  cli.add_int("threads", 1, "threads for --algorithm parallel");
-  cli.add_string("scheduler", "dependency",
-                 "wavefront scheduler for --algorithm parallel: "
-                 "barrier | dependency");
+  cli.add_int("threads", 1,
+              "threads for --algorithm parallel (0 counts as 1, at most " +
+                  std::to_string(kMaxThreads) + ")");
   // The accepted --kernel names come from the dispatch table itself, so
   // the help text can never drift from what parse_kernel_kind accepts.
   std::string kernel_help = "DP sweep kernel: ";
@@ -112,6 +116,14 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
+    const std::int64_t threads_arg = cli.get_int("threads");
+    if (threads_arg < 0 || threads_arg > kMaxThreads) {
+      std::cerr << "error: --threads must be between 0 and " << kMaxThreads
+                << " (got " << threads_arg << ")\n";
+      return 2;
+    }
+    const unsigned threads =
+        std::max(1u, static_cast<unsigned>(threads_arg));
     if (cli.positional().empty()) {
       std::cerr << "error: no FASTA input given (see --help)\n";
       return 2;
@@ -160,8 +172,7 @@ int main(int argc, char** argv) {
 
     if (cli.get_flag("advise")) {
       flsa::MachineProfile machine;
-      machine.processors =
-          std::max(1u, static_cast<unsigned>(cli.get_int("threads")));
+      machine.processors = threads;
       if (cli.get_int("memory-mb") > 0) {
         machine.memory_bytes =
             static_cast<std::size_t>(cli.get_int("memory-mb")) << 20;
@@ -226,20 +237,13 @@ int main(int argc, char** argv) {
       const std::string algorithm = cli.get_string("algorithm");
       if (algorithm == "parallel") {
         flsa::ParallelOptions parallel;
-        parallel.threads =
-            std::max(1u, static_cast<unsigned>(cli.get_int("threads")));
-        const std::string scheduler = cli.get_string("scheduler");
-        if (!flsa::parse_scheduler_kind(scheduler, &parallel.scheduler)) {
-          throw std::invalid_argument("unknown --scheduler " + scheduler);
-        }
+        parallel.threads = threads;
         aln = scheme.is_linear()
                   ? flsa::parallel_fastlsa_align(a, b, scheme, fl, parallel,
                                                  &stats)
                   : flsa::parallel_fastlsa_align_affine(a, b, scheme, fl,
                                                         parallel, &stats);
-        algorithm_used =
-            std::string("parallel fastlsa (") +
-            flsa::to_string(parallel.scheduler) + ")";
+        algorithm_used = "parallel fastlsa";
       } else {
         flsa::AlignOptions options;
         options.fastlsa = fl;

@@ -27,6 +27,11 @@ namespace {
 // drain with ordinary (unsafe-in-handlers) code.
 int g_signal_pipe[2] = {-1, -1};
 
+// Upper bound on --workers. The server starts every worker eagerly, so an
+// out-of-range count (a negative one would wrap to ~4 billion as
+// unsigned) is a usage error, not a request.
+constexpr std::int64_t kMaxWorkers = 1024;
+
 extern "C" void handle_shutdown_signal(int) {
   const char byte = 1;
   // Best effort: if the pipe is full a byte is already pending.
@@ -45,7 +50,9 @@ int main(int argc, char** argv) {
   cli.add_string("port-file", "",
                  "write the bound port number to this file once listening "
                  "(lets scripts use --port 0)");
-  cli.add_int("workers", 0, "worker threads (0 = hardware concurrency)");
+  cli.add_int("workers", 0,
+              "worker threads (0 = hardware concurrency, at most " +
+                  std::to_string(kMaxWorkers) + ")");
   cli.add_int("queue", 64, "bounded request queue capacity");
   cli.add_int("max-cells-m", 256,
               "admission budget per request, in millions of DPM cells "
@@ -88,11 +95,17 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.parse(argc, argv)) return 0;
+    const std::int64_t workers_arg = cli.get_int("workers");
+    if (workers_arg < 0 || workers_arg > kMaxWorkers) {
+      std::cerr << "error: --workers must be between 0 and " << kMaxWorkers
+                << " (got " << workers_arg << ")\n";
+      return 2;
+    }
 
     flsa::service::ServiceConfig config;
     config.host = cli.get_string("host");
     config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-    config.workers = static_cast<unsigned>(cli.get_int("workers"));
+    config.workers = static_cast<unsigned>(workers_arg);
     config.queue_capacity =
         static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("queue")));
     config.max_request_cells =
