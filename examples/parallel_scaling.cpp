@@ -13,10 +13,14 @@
 int main(int argc, char** argv) {
   flsa::CliParser cli("Parallel FastLSA scaling demonstration");
   cli.add_int("length", 3000, "sequence length");
-  cli.add_int("max-threads", 4, "largest real thread count to run");
+  cli.add_int("max-threads", 4,
+              "largest real thread count to run (1 to 1024)");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const auto length = static_cast<std::size_t>(cli.get_int("length"));
+    // Each doubling step starts a real pool, so the cap keeps a typo (or a
+    // negative value wrapping to ~4e9) from asking for billions of threads.
+    if (!cli.int_in_range("max-threads", 1, 1024)) return 2;
     const auto max_threads = static_cast<unsigned>(cli.get_int("max-threads"));
 
     flsa::Xoshiro256 rng(11);

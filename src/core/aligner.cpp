@@ -86,7 +86,7 @@ Alignment align(const Sequence& a, const Sequence& b,
                                                 &stats.counters)
                       : hirschberg_align(a, b, scheme, options.hirschberg,
                                          &stats.counters);
-      stats.kernel_used = resolve_kernel(options.hirschberg.kernel);
+      stats.kernel_used = resolve_kernel(options.hirschberg.kernel, scheme);
       break;
     case Strategy::kFastLsa: {
       FastLsaOptions fl = options.fastlsa;

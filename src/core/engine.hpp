@@ -138,7 +138,7 @@ class FastLsaEngine {
                 const EnginePlan& plan, FastLsaStats* stats)
       : a_(a), b_(b), scheme_(scheme), options_(options), plan_(plan),
         stats_(stats ? *stats : local_stats_),
-        kernel_(resolve_kernel(options.kernel)),
+        kernel_(resolve_kernel(options.kernel, scheme)),
         owned_workspace_(options.workspace ? nullptr
                                            : new FastLsaWorkspace()),
         arena_((options.workspace ? *options.workspace : *owned_workspace_)

@@ -64,7 +64,7 @@ Score fastlsa_score(const Sequence& a, const Sequence& b,
       KernelKind::kAuto, a.residues(), b.residues(), scheme, &counters);
   if (stats) {
     stats->counters += counters;
-    stats->kernel_used = resolve_kernel(KernelKind::kAuto);
+    stats->kernel_used = resolve_kernel(KernelKind::kAuto, scheme);
     stats->peak_bytes =
         std::max(stats->peak_bytes,
                  (a.size() + b.size() + 2) * sizeof(Score));

@@ -41,8 +41,10 @@ struct FastLsaOptions {
   std::size_t base_case_cells = 1u << 20;
 
   /// DP sweep implementation for the Fill Grid Cache tiles (and every
-  /// other boundary sweep). kAuto picks the fastest kernel the CPU
-  /// supports; all kernels produce identical scores and alignments.
+  /// other boundary sweep). kAuto picks the int16 tier for a linear scheme
+  /// whose scores and gap fit it, the int32 SIMD tier otherwise (scalar
+  /// off a vector ISA); all kernels produce identical scores and
+  /// alignments.
   KernelKind kernel = KernelKind::kAuto;
 
   /// Score-bound band pruning of the Fill Grid Cache phase. When enabled,

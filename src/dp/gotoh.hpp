@@ -39,9 +39,10 @@ enum class AffineState : std::uint8_t { kD, kIx, kIy };
 /// The one affine score sweep: the affine analogue of
 /// sweep_rectangle_linear (dp/kernel.hpp), with AffineCell boundary caches
 /// and outputs; `out_bottom` may alias `top`. It runs the global
-/// recurrence. `kind` picks the tier (kAuto resolves against the CPU; the
-/// narrow tier has no affine core and runs the int32 SIMD one); all tiers
-/// agree bit-for-bit. Adds a.size()*b.size() to counters->cells_scored.
+/// recurrence. `kind` picks the tier (kAuto resolves to the int32 SIMD
+/// tier for an affine scheme; the narrow tier has no affine core and runs
+/// the int32 SIMD one); all tiers agree bit-for-bit. Adds
+/// a.size()*b.size() to counters->cells_scored.
 void sweep_rectangle_affine(KernelKind kind, std::span<const Residue> a,
                             std::span<const Residue> b,
                             const ScoringScheme& scheme,

@@ -16,12 +16,13 @@ namespace {
 // parse_kernel_kind and the CLI enumeration all walk this table.
 constexpr KernelInfo kKernelRegistry[] = {
     {KernelKind::kAuto, "auto",
-     "fastest always-exact kernel for this CPU (default)"},
+     "int16 for a linear scheme that fits its lanes, else simd (default)"},
     {KernelKind::kScalar, "scalar", "reference row sweep"},
     {KernelKind::kSimd, "simd",
      "int32 anti-diagonal vector sweep (scalar fallback off-x86)"},
     {KernelKind::kInt16, "int16",
-     "saturating 16-bit lanes, escalates int16->int32 on overflow"},
+     "saturating 16-bit lanes, escalates int16->int32 per tile; auto's pick "
+     "for linear schemes"},
 };
 
 /// Scalar reference core of sweep_rectangle_linear: a row sweep whose
@@ -131,11 +132,10 @@ void count_cells(DpCounters* counters, std::size_t rows, std::size_t cols) {
 
 std::span<const KernelInfo> kernel_registry() { return kKernelRegistry; }
 
-KernelKind resolve_kernel(KernelKind requested) {
-  if (requested == KernelKind::kAuto) {
-    return simd_kernel_available() ? KernelKind::kSimd : KernelKind::kScalar;
-  }
-  return requested;
+KernelKind resolve_kernel(KernelKind requested, const ScoringScheme& scheme) {
+  if (requested != KernelKind::kAuto) return requested;
+  if (!simd_kernel_available()) return KernelKind::kScalar;
+  return narrow_tier_admits(scheme) ? KernelKind::kInt16 : KernelKind::kSimd;
 }
 
 const char* to_string(KernelKind kind) {
@@ -168,7 +168,7 @@ void sweep_rectangle_linear(KernelKind kind, std::span<const Residue> a,
   // The vector tiers run the global recurrence and publish only the
   // boundary lines; everything else is the scalar core's.
   if (mode == DpMode::kGlobal && best == nullptr) {
-    switch (resolve_kernel(kind)) {
+    switch (resolve_kernel(kind, scheme)) {
       case KernelKind::kSimd:
         sweep_rectangle_linear_simd(a, b, scheme, top, left, out_bottom,
                                     out_right, counters);
@@ -205,7 +205,7 @@ void sweep_rectangle_affine(KernelKind kind, std::span<const Residue> a,
   // The narrow tier has no affine core (three interdependent saturating
   // matrices triple the rail-tracking work for little win); affine sweeps
   // run the int32 SIMD kernel under any narrow request.
-  switch (resolve_kernel(kind)) {
+  switch (resolve_kernel(kind, scheme)) {
     case KernelKind::kSimd:
     case KernelKind::kInt16:
       sweep_rectangle_affine_simd(a, b, scheme, top, left, out_bottom,

@@ -28,7 +28,7 @@ namespace flsa {
 /// (dp/kernel_narrow.hpp). Every kernel produces bit-identical boundary
 /// rows/columns and scores.
 enum class KernelKind : std::uint8_t {
-  kAuto,    ///< pick the fastest always-exact kernel this CPU supports
+  kAuto,    ///< pick the fastest kernel for this CPU and scheme
   kScalar,  ///< the reference row sweep
   kSimd,    ///< vectorized int32 anti-diagonal sweep (scalar off-x86)
   kInt16,   ///< saturating 16-bit lanes, escalating int16 -> int32
@@ -47,13 +47,15 @@ struct KernelInfo {
 /// kernel registered here is automatically parseable and listed.
 std::span<const KernelInfo> kernel_registry();
 
-/// Resolves kAuto against the runtime CPU: kSimd when a vector ISA is
-/// available, kScalar otherwise. Everything else passes through unchanged
-/// (every kind is safe everywhere — kSimd degrades to a scalar
-/// anti-diagonal sweep off-x86, and the narrow tier escalates through it).
-/// kAuto deliberately never resolves to the narrow tier: it is opt-in
-/// because its win depends on the scheme's magnitude (docs/tuning.md).
-KernelKind resolve_kernel(KernelKind requested);
+/// Resolves kAuto for `scheme` against the runtime CPU: off a vector ISA,
+/// kScalar; otherwise kInt16 when the narrow tier's whole-call gate admits
+/// the scheme (narrow_tier_admits in dp/kernel_narrow.hpp: linear gaps,
+/// every score and the gap inside int16), else kSimd. Everything else
+/// passes through unchanged (every kind is safe everywhere: kSimd degrades
+/// to a scalar anti-diagonal sweep off-x86, and the narrow tier escalates
+/// through it). The result is the tier the sweeps run, so FastLsaStats's
+/// kernel_used reports it.
+KernelKind resolve_kernel(KernelKind requested, const ScoringScheme& scheme);
 
 /// The registry name: "auto" | "scalar" | "simd" | "int16".
 const char* to_string(KernelKind kind);
@@ -91,9 +93,10 @@ struct BestCell {
 /// `out_bottom` may alias `top` (in-place row propagation). When `best` is
 /// non-null it receives the rectangle's BestCell.
 ///
-/// `kind` picks the tier (kAuto resolves against the CPU); all tiers agree
-/// bit-for-bit. The vector tiers run the global recurrence only: a local
-/// `mode` or a `best` request runs the scalar core whatever `kind` says.
+/// `kind` picks the tier (kAuto resolves per scheme and CPU, see
+/// resolve_kernel); all tiers agree bit-for-bit. The vector tiers run the
+/// global recurrence only: a local `mode` or a `best` request runs the
+/// scalar core whatever `kind` says.
 /// Adds a.size()*b.size() to counters->cells_scored when counters != null.
 void sweep_rectangle_linear(KernelKind kind, std::span<const Residue> a,
                             std::span<const Residue> b,

@@ -605,6 +605,12 @@ void note_escalations(DpCounters* counters, std::uint64_t n) {
 
 }  // namespace
 
+bool narrow_tier_admits(const ScoringScheme& scheme) {
+  const SubstitutionMatrix& sub = scheme.matrix();
+  return scheme.is_linear() && gap_fits(scheme.gap_extend()) &&
+         sub.min_score() > kLaneLo && sub.max_score() < kLaneHi;
+}
+
 void sweep_rectangle_linear_narrow(std::span<const Residue> a,
                                    std::span<const Residue> b,
                                    const ScoringScheme& scheme,

@@ -40,6 +40,15 @@
 
 namespace flsa {
 
+/// The narrow tier's whole-call gate as one predicate: true when the
+/// scheme is linear, its gap and every scan/carry addend the cores form
+/// (16 * |gap|, a fixed lane count so the answer is the same on every
+/// host) are exactly representable in int16, and every substitution score
+/// lies strictly inside the int16 rails. A scheme it admits never takes a
+/// whole-call escalation; kAuto picks the narrow tier exactly for these
+/// schemes (resolve_kernel in dp/kernel.hpp).
+bool narrow_tier_admits(const ScoringScheme& scheme);
+
 /// Drop-in replacement for sweep_rectangle_linear (same boundary layout,
 /// same aliasing guarantee for out_bottom/top, same cells_scored
 /// accounting) running the int16 tier with escalation. Never fails: tiles

@@ -89,9 +89,12 @@ Alignment hirschberg_align(const Sequence& a, const Sequence& b,
   FLSA_OBS_PHASE(obs_phase, obs::Phase::kHirschberg);
   [[maybe_unused]] const std::uint64_t cells_before =
       counters->total_cells();
+  // Resolve kAuto once, not on every LastRow pass of the recursion.
+  HirschbergOptions resolved = options;
+  resolved.kernel = resolve_kernel(options.kernel, scheme);
   std::vector<Move> forward;
   forward.reserve(a.size() + b.size());
-  recurse(a.residues(), b.residues(), scheme, options, forward, counters);
+  recurse(a.residues(), b.residues(), scheme, resolved, forward, counters);
   FLSA_OBS_PHASE_CELLS(obs_phase, counters->total_cells() - cells_before);
 
   // Re-anchor the forward moves as a Path to reuse the shared validation

@@ -26,7 +26,8 @@ struct HirschbergOptions {
   std::size_t base_case_cells = 4096;
 
   /// Sweep kernel for the forward/backward LastRow passes. kAuto picks
-  /// the fastest one the CPU supports; the alignment is identical.
+  /// the int16 tier when the scheme fits it, the int32 SIMD tier
+  /// otherwise (scalar off a vector ISA); the alignment is identical.
   KernelKind kernel = KernelKind::kAuto;
 };
 

@@ -148,6 +148,15 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   return lookup(name, Kind::kInt).int_value;
 }
 
+bool CliParser::int_in_range(const std::string& name, std::int64_t lo,
+                             std::int64_t hi) const {
+  const std::int64_t value = get_int(name);
+  if (value >= lo && value <= hi) return true;
+  std::cerr << "error: --" << name << " must be between " << lo << " and "
+            << hi << " (got " << value << ")\n";
+  return false;
+}
+
 double CliParser::get_double(const std::string& name) const {
   return lookup(name, Kind::kDouble).double_value;
 }

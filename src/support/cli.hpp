@@ -35,6 +35,12 @@ class CliParser {
 
   bool get_flag(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// True when int flag `name` lies in [lo, hi]. Otherwise prints
+  /// "error: --name must be between lo and hi (got v)" to stderr and
+  /// returns false, so a tool can exit 2 before a negative value wraps
+  /// into a huge unsigned field.
+  bool int_in_range(const std::string& name, std::int64_t lo,
+                    std::int64_t hi) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
 

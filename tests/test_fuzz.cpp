@@ -212,7 +212,7 @@ TEST(FuzzGolden, PaperExampleUnderEveryKernel) {
     FastLsaStats stats;
     ASSERT_EQ(fastlsa_align(a, b, scheme, fopts, &stats).score, 82)
         << to_string(kind);
-    ASSERT_EQ(stats.kernel_used, resolve_kernel(kind));
+    ASSERT_EQ(stats.kernel_used, resolve_kernel(kind, scheme));
     ParallelOptions popts;
     popts.threads = 2;
     ASSERT_EQ(parallel_fastlsa_align(a, b, scheme, fopts, popts).score, 82)

@@ -1,5 +1,6 @@
 // Kernel conformance suite: the hard correctness contract behind the
-// narrow saturating tier (dp/kernel_narrow.*).
+// narrow saturating tier (dp/kernel_narrow.*), which kAuto runs for every
+// linear scheme that fits it.
 //
 // One parameterized differential harness runs EVERY registered KernelKind
 // over a grid of scoring schemes — including adversarial near-saturation
@@ -10,6 +11,10 @@
 //     same tie-breaking, so FastLSA's traceback must come out identical),
 //   * the escalation counters fire exactly when the clamp algebra
 //     predicts (whole-call gate vs per-tile rail, int16 -> int32),
+//   * kAuto resolves per scheme: int16 exactly when the narrow tier's
+//     whole-call gate (narrow_tier_admits) admits the scheme, int32 SIMD
+//     otherwise, so kernel_used names the tier that ran and a rejected
+//     scheme never counts an escalation,
 //   * fixed-seed fuzzing over random alphabets/matrices/shapes across all
 //     tiers at several score magnitudes, so every tier sees inputs it can
 //     handle natively, inputs that rail mid-tile, and inputs its
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "benchlib/workloads.hpp"
+#include "dp/kernel_narrow.hpp"
 #include "flsa/flsa.hpp"
 #include "obs/obs.hpp"
 
@@ -291,8 +297,8 @@ void expect_mode_conformant(const SchemeCase& c, const ModeCase& mc,
 }
 
 // ---------------------------------------------------------------------
-// The registry itself: spellings round-trip, kAuto resolves to an
-// always-exact kernel (never an opt-in narrow tier).
+// The registry itself: spellings round-trip, and kAuto resolves per
+// scheme to the tier the sweeps actually run.
 
 TEST(KernelRegistry, NamesRoundTripThroughParser) {
   ASSERT_GE(kernel_registry().size(), 4u);
@@ -308,15 +314,65 @@ TEST(KernelRegistry, NamesRoundTripThroughParser) {
   EXPECT_FALSE(parse_kernel_kind("int13", &parsed));
 }
 
-TEST(KernelRegistry, AutoNeverResolvesToNarrowTier) {
-  const KernelKind resolved = resolve_kernel(KernelKind::kAuto);
-  EXPECT_TRUE(resolved == KernelKind::kScalar ||
-              resolved == KernelKind::kSimd);
-  // Explicit requests pass through unchanged.
-  for (const KernelKind kind :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kInt16}) {
-    EXPECT_EQ(resolve_kernel(kind), kind);
+/// kAuto picks int16 exactly for the linear schemes the narrow tier's
+/// whole-call gate admits, int32 SIMD for the rest, scalar off a vector
+/// ISA; explicit requests pass through unchanged.
+TEST(KernelRegistry, AutoResolvesPerScheme) {
+  const SubstitutionMatrix dna = scoring::dna();
+  const SchemeCase score_edge = identity_case("edge16", "AC", 32766, -1, -3);
+  const SchemeCase score_over = identity_case("over16", "AC", 32767, -1, -3);
+  struct Expectation {
+    const char* name;
+    ScoringScheme scheme;
+    KernelKind on_simd;
+  };
+  const Expectation cases[] = {
+      {"paper", ScoringScheme::paper_default(), KernelKind::kInt16},
+      {"dna/-10", ScoringScheme(dna, -10), KernelKind::kInt16},
+      {"affine", ScoringScheme(dna, -11, -1), KernelKind::kSimd},
+      // 16 * |gap| is the widest scan addend: -2047 fits, -2048 does not.
+      {"gap -2047", ScoringScheme(dna, -2047), KernelKind::kInt16},
+      {"gap -2048", ScoringScheme(dna, -2048), KernelKind::kSimd},
+      // Substitution scores must lie strictly inside the int16 rails.
+      {"score 32766", score_edge.scheme, KernelKind::kInt16},
+      {"score 32767", score_over.scheme, KernelKind::kSimd},
+  };
+  for (const Expectation& c : cases) {
+    EXPECT_EQ(narrow_tier_admits(c.scheme), c.on_simd == KernelKind::kInt16)
+        << c.name;
+    EXPECT_EQ(resolve_kernel(KernelKind::kAuto, c.scheme),
+              simd_kernel_available() ? c.on_simd : KernelKind::kScalar)
+        << c.name;
+    for (const KernelKind kind :
+         {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kInt16}) {
+      EXPECT_EQ(resolve_kernel(kind, c.scheme), kind) << c.name;
+    }
   }
+}
+
+/// A linear scheme the gate rejects runs int32 from the start under
+/// kAuto: FastLSA reports the tier that ran, counts no escalation (it
+/// never built an int16 profile) and stays exact.
+TEST(KernelRegistry, AutoSendsGateRejectedSchemeStraightToInt32) {
+  if (!simd_kernel_available()) GTEST_SKIP() << "no vector ISA";
+  const SchemeCase c = identity_case("reject16", "AC", 32767, -5, -8);
+  ASSERT_FALSE(narrow_tier_admits(c.scheme));
+  Xoshiro256 rng(29);
+  const Sequence a = random_sequence(*c.alpha, 180, rng);
+  const Sequence b = random_sequence(*c.alpha, 150, rng);
+  const Alignment fm = full_matrix_align(a, b, c.scheme);
+
+  FastLsaOptions opts;
+  opts.k = 4;
+  opts.base_case_cells = 256;
+  FastLsaStats stats;
+  const Alignment fl = fastlsa_align(a, b, c.scheme, opts, &stats);
+  EXPECT_EQ(stats.kernel_used, KernelKind::kSimd);
+  EXPECT_GT(stats.counters.cells_scored, 0u);
+  EXPECT_EQ(stats.counters.kernel_escalations, 0u);
+  EXPECT_EQ(fl.score, fm.score);
+  EXPECT_EQ(fl.gapped_a, fm.gapped_a);
+  EXPECT_EQ(fl.gapped_b, fm.gapped_b);
 }
 
 // ---------------------------------------------------------------------

@@ -206,13 +206,19 @@ TEST(SimdKernel, PaperExampleScoresEightyTwo) {
 }
 
 TEST(SimdKernel, ResolveAndNames) {
-  EXPECT_NE(resolve_kernel(KernelKind::kAuto), KernelKind::kAuto);
-  EXPECT_EQ(resolve_kernel(KernelKind::kScalar), KernelKind::kScalar);
-  EXPECT_EQ(resolve_kernel(KernelKind::kSimd), KernelKind::kSimd);
+  // kAuto runs the paper's linear MDM78 scheme on the int16 tier, an
+  // affine scheme on the int32 SIMD tier (the narrow tier has no affine
+  // core), and both on the scalar sweep off a vector ISA.
+  const ScoringScheme& paper = ScoringScheme::paper_default();
+  const ScoringScheme affine(scoring::mdm78(), -11, -1);
+  EXPECT_EQ(resolve_kernel(KernelKind::kScalar, paper), KernelKind::kScalar);
+  EXPECT_EQ(resolve_kernel(KernelKind::kSimd, paper), KernelKind::kSimd);
   if (simd_kernel_available()) {
-    EXPECT_EQ(resolve_kernel(KernelKind::kAuto), KernelKind::kSimd);
+    EXPECT_EQ(resolve_kernel(KernelKind::kAuto, paper), KernelKind::kInt16);
+    EXPECT_EQ(resolve_kernel(KernelKind::kAuto, affine), KernelKind::kSimd);
   } else {
-    EXPECT_EQ(resolve_kernel(KernelKind::kAuto), KernelKind::kScalar);
+    EXPECT_EQ(resolve_kernel(KernelKind::kAuto, paper), KernelKind::kScalar);
+    EXPECT_EQ(resolve_kernel(KernelKind::kAuto, affine), KernelKind::kScalar);
     EXPECT_STREQ(simd_kernel_isa(), "scalar");
   }
   KernelKind kind = KernelKind::kAuto;

@@ -9,8 +9,11 @@
 //   flsa_align --algorithm fastlsa --k 8 --memory-mb 64 --stats big.fa
 //   flsa_align --algorithm parallel --threads 8 --metrics
 //       --trace-out trace.json big.fa
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/advisor.hpp"
@@ -116,14 +119,17 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    const std::int64_t threads_arg = cli.get_int("threads");
-    if (threads_arg < 0 || threads_arg > kMaxThreads) {
-      std::cerr << "error: --threads must be between 0 and " << kMaxThreads
-                << " (got " << threads_arg << ")\n";
+    // Range checks before anything is built: the minimums are
+    // FastLsaOptions::validate()'s, the maximums what the fields hold.
+    static_assert(sizeof(std::size_t) >= sizeof(std::int64_t));
+    if (!cli.int_in_range("threads", 0, kMaxThreads) ||
+        !cli.int_in_range("k", 2, std::numeric_limits<unsigned>::max()) ||
+        !cli.int_in_range("bm", 16,
+                          std::numeric_limits<std::int64_t>::max())) {
       return 2;
     }
     const unsigned threads =
-        std::max(1u, static_cast<unsigned>(threads_arg));
+        std::max(1u, static_cast<unsigned>(cli.get_int("threads")));
     if (cli.positional().empty()) {
       std::cerr << "error: no FASTA input given (see --help)\n";
       return 2;

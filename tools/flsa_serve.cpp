@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "parallel/thread_pool.hpp"
 #include "service/server.hpp"
@@ -95,17 +97,20 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.parse(argc, argv)) return 0;
-    const std::int64_t workers_arg = cli.get_int("workers");
-    if (workers_arg < 0 || workers_arg > kMaxWorkers) {
-      std::cerr << "error: --workers must be between 0 and " << kMaxWorkers
-                << " (got " << workers_arg << ")\n";
+    // Range checks before the server is built: the --k/--bm minimums are
+    // FastLsaOptions::validate()'s, the maximums what the fields hold.
+    static_assert(sizeof(std::size_t) >= sizeof(std::int64_t));
+    if (!cli.int_in_range("workers", 0, kMaxWorkers) ||
+        !cli.int_in_range("k", 2, std::numeric_limits<unsigned>::max()) ||
+        !cli.int_in_range("bm", 16,
+                          std::numeric_limits<std::int64_t>::max())) {
       return 2;
     }
 
     flsa::service::ServiceConfig config;
     config.host = cli.get_string("host");
     config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-    config.workers = static_cast<unsigned>(workers_arg);
+    config.workers = static_cast<unsigned>(cli.get_int("workers"));
     config.queue_capacity =
         static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("queue")));
     config.max_request_cells =
